@@ -24,7 +24,11 @@ impl<T: ConvNchwAlgorithm> Conv2dAlgorithm for As2d<T> {
         let t = Tensor4::from_image(input);
         let bank = FilterBank::broadcast(filter, 1, 1);
         let (out, rep) = self.0.run(sim, &t, &bank);
-        (out.plane(0, 0), rep)
+        let (n, k, h, w) = out.dims();
+        debug_assert_eq!((n, k), (1, 1), "one image through one filter is one plane");
+        let img =
+            Image2D::from_vec(h, w, out.into_vec()).expect("a 1×1×H×W tensor holds H·W elements");
+        (img, rep)
     }
 }
 

@@ -34,7 +34,7 @@ use crate::analysis::{
 };
 use crate::device::DeviceConfig;
 use crate::faults::{self, BlockFaults, FaultLog, FaultPlan};
-use crate::lane::{LaneMask, LaneVec, VF, VU, WARP};
+use crate::lane::{LaneMask, VF, VU, WARP};
 use crate::memory::hierarchy::{
     flush_l2, new_l1, new_l2, phantom_access, replay_trace, warp_access, L2Sink, Space,
 };
@@ -475,7 +475,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     pub fn fma(&mut self, a: VF, b: VF, c: VF) -> VF {
         self.res.tick(1);
         self.res.stats.fma_instrs += 1;
-        LaneVec::from_fn(|l| a.lane(l).mul_add(b.lane(l), c.lane(l)))
+        a.mul_add(&b, &c)
     }
 
     /// Counted floating add.

@@ -78,9 +78,17 @@ impl LaneMask {
         LaneMask(!self.0)
     }
 
-    /// Iterator over active lane indices.
+    /// Iterator over active lane indices, ascending.
     pub fn lanes(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..WARP).filter(move |&l| self.get(l))
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(lane)
+        })
     }
 }
 
@@ -244,6 +252,49 @@ impl LaneVec<f32> {
     pub fn hsum(&self) -> f32 {
         self.0.iter().sum()
     }
+
+    /// Lane-wise fused multiply-add `self * b + c`, rounded once per lane
+    /// exactly as [`f32::mul_add`]. Runs on the host's FMA unit when it has
+    /// one and on [`VF::mul_add_scalar`] otherwise; both round once, so the
+    /// result bits do not depend on the host.
+    #[inline]
+    #[allow(unsafe_code)]
+    pub fn mul_add(&self, b: &VF, c: &VF) -> VF {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: `mul_add_fma` needs only the `fma` target feature, and
+            // `is_x86_feature_detected!("fma")` just confirmed this CPU has it.
+            return unsafe { mul_add_fma(self, b, c) };
+        }
+        self.mul_add_scalar(b, c)
+    }
+
+    /// The portable path of [`VF::mul_add`]: one [`f32::mul_add`] per lane.
+    /// Public so tests can pin it against the hardware path on hosts that
+    /// have FMA; kernels call [`VF::mul_add`]. Always inlined, so that
+    /// inside `mul_add_fma` it compiles with the `fma` feature.
+    #[inline(always)]
+    pub fn mul_add_scalar(&self, b: &VF, c: &VF) -> VF {
+        let mut out = [0.0f32; WARP];
+        for (o, ((&x, &y), &z)) in out.iter_mut().zip(self.0.iter().zip(&b.0).zip(&c.0)) {
+            *o = x.mul_add(y, z);
+        }
+        LaneVec(out)
+    }
+}
+
+/// [`VF::mul_add_scalar`] compiled with the `fma` target feature, so each
+/// `f32::mul_add` lowers to a hardware fused multiply-add instead of a
+/// library call.
+///
+/// # Safety
+///
+/// The running CPU must support the `fma` target feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(unsafe_code)]
+unsafe fn mul_add_fma(a: &VF, b: &VF, c: &VF) -> VF {
+    a.mul_add_scalar(b, c)
 }
 
 macro_rules! lane_binop {

@@ -45,6 +45,8 @@
 //! assert_eq!(stats.gld_transactions, 32 * 4); // 32 warps, 4 sectors each
 //! ```
 
+// The one exception is the lane FMA dispatch in `lane.rs`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

@@ -21,34 +21,68 @@ impl CoalesceResult {
     }
 }
 
+/// Room for every sector one warp access can touch: a lane access no wider
+/// than a sector touches at most two.
+pub type SectorBuf = [u64; 2 * WARP];
+
 /// Coalesce a warp access of `size` bytes per lane at the given byte
 /// addresses. Inactive lanes contribute nothing. Accesses that straddle a
 /// sector boundary touch both sectors (possible with mis-aligned layouts).
+/// A thin wrapper over [`coalesce_into`], which has the same preconditions.
 pub fn coalesce(
     addrs: &[u64; WARP],
     mask: LaneMask,
     size: u32,
     sector_bytes: u64,
 ) -> CoalesceResult {
+    let mut buf = [0; 2 * WARP];
+    let n = coalesce_into(addrs, mask, size, sector_bytes, &mut buf);
+    CoalesceResult {
+        sectors: buf[..n].to_vec(),
+    }
+}
+
+/// The allocation-free coalescer behind [`coalesce`]: writes the distinct
+/// sector base addresses of the access, ascending, to the front of `out`
+/// and returns their count. Panics unless `1 <= size <= sector_bytes`.
+pub fn coalesce_into(
+    addrs: &[u64; WARP],
+    mask: LaneMask,
+    size: u32,
+    sector_bytes: u64,
+    out: &mut SectorBuf,
+) -> usize {
     debug_assert!(sector_bytes.is_power_of_two());
-    let mut sectors: Vec<u64> = Vec::with_capacity(8);
+    assert!(
+        size >= 1 && size as u64 <= sector_bytes,
+        "lane access of {size} B does not fit a {sector_bytes} B sector"
+    );
+    let align = !(sector_bytes - 1);
+    let mut n = 0;
     for lane in mask.lanes() {
         let a = addrs[lane];
-        let first = a & !(sector_bytes - 1);
-        let last = (a + size as u64 - 1) & !(sector_bytes - 1);
-        let mut s = first;
-        loop {
-            if !sectors.contains(&s) {
-                sectors.push(s);
-            }
-            if s == last {
-                break;
-            }
-            s += sector_bytes;
+        let first = a & align;
+        let last = (a + size as u64 - 1) & align;
+        // Neighbouring lanes mostly share a sector: drop those repeats here
+        // and the rest after the sort.
+        if n == 0 || out[n - 1] != first {
+            out[n] = first;
+            n += 1;
+        }
+        if last != first {
+            out[n] = last;
+            n += 1;
         }
     }
-    sectors.sort_unstable();
-    CoalesceResult { sectors }
+    out[..n].sort_unstable();
+    let mut distinct = 0;
+    for i in 0..n {
+        if distinct == 0 || out[distinct - 1] != out[i] {
+            out[distinct] = out[i];
+            distinct += 1;
+        }
+    }
+    distinct
 }
 
 #[cfg(test)]

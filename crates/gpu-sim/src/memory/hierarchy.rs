@@ -17,7 +17,7 @@
 //! stream the sequential engine ([`L2Sink::Inline`]) would have produced.
 
 use super::cache::{Access, CachePolicy, SectoredCache};
-use super::coalescer::coalesce;
+use super::coalescer::{coalesce_into, SectorBuf};
 use crate::device::DeviceConfig;
 use crate::faults::{BlockFaults, SectorFate};
 use crate::lane::{LaneMask, WARP};
@@ -95,58 +95,20 @@ pub fn warp_access(
     if mask.is_empty() {
         return 0;
     }
-    let res = coalesce(addrs, mask, 4, dev.sector_bytes as u64);
-    #[cfg(debug_assertions)]
-    {
-        // Inactive lanes must never contribute sectors: re-coalescing with
-        // their addresses poisoned far away from any real allocation must
-        // yield the identical sector set. The OOB analysis pass relies on
-        // this (a masked-off garbage index is not a hazard).
-        const POISON: u64 = 1 << 60;
-        let mut poisoned = *addrs;
-        for (l, p) in poisoned.iter_mut().enumerate() {
-            if !mask.get(l) {
-                *p = POISON + l as u64 * 4096;
-            }
-        }
-        let pres = coalesce(&poisoned, mask, 4, dev.sector_bytes as u64);
-        debug_assert_eq!(
-            pres.sectors, res.sectors,
-            "inactive-mask lanes contributed sectors to a warp access"
-        );
-    }
-    let txns = res.transactions();
-    match (space, is_store) {
-        (Space::Global, false) => {
-            stats.gld_requests += 1;
-            stats.gld_transactions += txns;
-        }
-        (Space::Global, true) => {
-            stats.gst_requests += 1;
-            stats.gst_transactions += txns;
-        }
-        (Space::Local, false) => {
-            stats.local_requests += 1;
-            stats.local_ld_transactions += txns;
-        }
-        (Space::Local, true) => {
-            stats.local_requests += 1;
-            stats.local_st_transactions += txns;
-        }
-    }
+    let mut buf = [0; 2 * WARP];
+    let sectors = coalesce_counted(dev, stats, addrs, mask, is_store, space, &mut buf);
+    let txns = sectors.len() as u64;
 
     // Dispatch on the sink variant once per warp access; the per-sector
     // loops below are monomorphic over the emit closure, keeping the enum
     // match (and the fault-fate indirection) off the per-sector hot path.
     match sink {
-        L2Sink::Inline(l2) => drive_sectors(l1, stats, &res.sectors, is_store, faults, |st, s| {
+        L2Sink::Inline(l2) => drive_sectors(l1, stats, sectors, is_store, faults, |st, s| {
             l2_sector_access(l2, st, s, is_store)
         }),
-        L2Sink::Deferred(trace) => {
-            drive_sectors(l1, stats, &res.sectors, is_store, faults, |_, s| {
-                trace.push(s, is_store)
-            })
-        }
+        L2Sink::Deferred(trace) => drive_sectors(l1, stats, sectors, is_store, faults, |_, s| {
+            trace.push(s, is_store)
+        }),
     }
     txns
 }
@@ -171,10 +133,29 @@ pub fn phantom_access(
     if mask.is_empty() {
         return 0;
     }
-    let res = coalesce(addrs, mask, 4, dev.sector_bytes as u64);
+    let mut buf = [0; 2 * WARP];
+    coalesce_counted(dev, stats, addrs, mask, is_store, space, &mut buf).len() as u64
+}
+
+/// Coalesce a non-empty warp access into `buf` and count its request and
+/// transactions for `space`; returns the distinct sectors, ascending. The
+/// shared prefix of [`warp_access`] and [`phantom_access`].
+fn coalesce_counted<'b>(
+    dev: &DeviceConfig,
+    stats: &mut KernelStats,
+    addrs: &[u64; WARP],
+    mask: LaneMask,
+    is_store: bool,
+    space: Space,
+    buf: &'b mut SectorBuf,
+) -> &'b [u64] {
+    let n = coalesce_into(addrs, mask, 4, dev.sector_bytes as u64, buf);
     #[cfg(debug_assertions)]
     {
-        // Same inactive-lane poisoning invariant as warp_access.
+        // Inactive lanes must never contribute sectors: re-coalescing with
+        // their addresses poisoned far away from any real allocation must
+        // yield the identical sector set. The OOB analysis pass relies on
+        // this (a masked-off garbage index is not a hazard).
         const POISON: u64 = 1 << 60;
         let mut poisoned = *addrs;
         for (l, p) in poisoned.iter_mut().enumerate() {
@@ -182,13 +163,15 @@ pub fn phantom_access(
                 *p = POISON + l as u64 * 4096;
             }
         }
-        let pres = coalesce(&poisoned, mask, 4, dev.sector_bytes as u64);
+        let mut pbuf = [0; 2 * WARP];
+        let pn = coalesce_into(&poisoned, mask, 4, dev.sector_bytes as u64, &mut pbuf);
         debug_assert_eq!(
-            pres.sectors, res.sectors,
-            "inactive-mask lanes contributed sectors to a phantom warp access"
+            &pbuf[..pn],
+            &buf[..n],
+            "inactive-mask lanes contributed sectors to a warp access"
         );
     }
-    let txns = res.transactions();
+    let txns = n as u64;
     match (space, is_store) {
         (Space::Global, false) => {
             stats.gld_requests += 1;
@@ -207,7 +190,7 @@ pub fn phantom_access(
             stats.local_st_transactions += txns;
         }
     }
-    txns
+    &buf[..n]
 }
 
 /// Classify `sectors` against the per-block L1 and forward every L2-bound

@@ -56,21 +56,47 @@ impl SharedMem {
         if mask.is_empty() {
             return 0;
         }
-        // words-per-bank, deduplicated: same word in same bank broadcasts.
-        let mut per_bank: [Vec<u32>; WARP] = std::array::from_fn(|_| Vec::new());
+        // One sweep gathers each active lane's `bank << 32 | word` key and
+        // checks the two one-pass shapes: all lanes on one word (broadcast),
+        // or every lane in its own bank (tracked while banks fit a u64).
+        let first = idx.lane(mask.0.trailing_zeros() as usize);
+        let mut one_word = true;
+        let mut distinct_banks = self.banks <= 64;
+        let mut seen_banks = 0u64;
+        let mut keys = [0u64; WARP];
+        let mut n = 0;
         for lane in mask.lanes() {
             let w = idx.lane(lane);
-            let bank = (w as usize) % self.banks;
-            if !per_bank[bank].contains(&w) {
-                per_bank[bank].push(w);
+            // A bank index never exceeds its word, so it fits in 32 bits.
+            let bank = (w as usize % self.banks) as u64;
+            one_word &= w == first;
+            if distinct_banks {
+                distinct_banks = seen_banks & (1 << bank) == 0;
+                seen_banks |= 1 << bank;
+            }
+            keys[n] = bank << 32 | w as u64;
+            n += 1;
+        }
+        if one_word || distinct_banks {
+            return 1;
+        }
+        // Sorted keys put each bank's words side by side; the pass count is
+        // the most distinct words in one bank (equal words broadcast).
+        let keys = &mut keys[..n];
+        keys.sort_unstable();
+        let (mut run, mut most) = (1, 1);
+        for pair in keys.windows(2) {
+            if pair[1] == pair[0] {
+                continue;
+            }
+            if pair[1] >> 32 == pair[0] >> 32 {
+                run += 1;
+                most = most.max(run);
+            } else {
+                run = 1;
             }
         }
-        per_bank
-            .iter()
-            .map(|v| v.len() as u64)
-            .max()
-            .unwrap_or(1)
-            .max(1)
+        most
     }
 
     /// Warp load. Returns the loaded lanes (inactive lanes read 0.0) and the
@@ -110,20 +136,22 @@ impl SharedMem {
         }
         // Distinct 4-word segments per bank-group decide the pass count;
         // a K-word access must be K-word aligned (as on hardware).
-        let mut segs: Vec<u32> = Vec::new();
+        let mut segs = [0u32; WARP];
+        let mut n = 0;
         for lane in mask.lanes() {
             let base = idx.lane(lane);
             assert!(
                 (base as usize).is_multiple_of(K),
                 "vector smem access must be aligned"
             );
-            let seg = base / 4;
-            if !segs.contains(&seg) {
-                segs.push(seg);
-            }
+            segs[n] = base / 4;
+            n += 1;
         }
+        let segs = &mut segs[..n];
+        segs.sort_unstable();
+        let distinct = 1 + segs.windows(2).filter(|p| p[0] != p[1]).count();
         // 16 B lanes: 8 segments move per 128 B pass.
-        let passes = (segs.len() as u64).div_ceil(8).max(1);
+        let passes = (distinct as u64).div_ceil(8);
         let out = std::array::from_fn(|k| {
             VF::from_fn(|l| {
                 if mask.get(l) {
@@ -157,7 +185,7 @@ impl SharedMem {
         #[cfg(debug_assertions)]
         self.assert_inactive_lanes_ignored(idx, mask, passes);
         // Iterate high→low so the lowest active lane's value lands last.
-        for lane in mask.lanes().collect::<Vec<_>>().into_iter().rev() {
+        for lane in (0..WARP).rev().filter(|&l| mask.get(l)) {
             let i = idx.lane(lane) as usize;
             assert!(
                 i < self.data.len(),

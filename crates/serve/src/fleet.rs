@@ -1242,6 +1242,16 @@ impl ConvFleet {
                     message: "fleet golden verification requires unpadded geometry".into(),
                 });
             }
+            if !g.has_unit_axes() {
+                return Err(ServeError::Unsupported {
+                    endpoint: ei,
+                    message: format!(
+                        "fleet golden verification requires unit stride, dilation and groups, \
+                         got stride {}x{}, dilation {}x{}, groups {}",
+                        g.stride_h, g.stride_w, g.dil_h, g.dil_w, g.groups
+                    ),
+                });
+            }
             if g.in_h < g.f_h || g.in_w < g.f_w {
                 return Err(ServeError::Unsupported {
                     endpoint: ei,
@@ -1592,6 +1602,36 @@ mod tests {
         }
         let served: usize = rolls.iter().map(|r| r.served).sum();
         assert_eq!(served, rep.served());
+    }
+
+    #[test]
+    fn non_unit_axes_endpoints_are_rejected() {
+        // Regression: validation rejected padding but not stride, dilation
+        // or groups, while the attempt path (`run`, `conv_nchw_ref`) ignores
+        // those axes, so a stride-2 endpoint declared with a 6x6 output was
+        // served an 11x11 tensor.
+        let mut rng = TensorRng::new(0x57D2);
+        let base = ConvGeometry::nchw(1, 2, 12, 12, 2, 2, 2);
+        for g in [
+            base.with_stride(2, 2),
+            base.with_dilation(2, 1),
+            base.with_groups(2),
+        ] {
+            let eps = vec![Endpoint {
+                name: "strided".into(),
+                geometry: g,
+                weights: rng.filter_bank(2, 2 / g.groups, 2, 2),
+            }];
+            let reqs = trace(&eps, 2, 5);
+            let mut fleet = ConvFleet::new(eps, fleet_cfg(2));
+            assert!(
+                matches!(
+                    fleet.run_trace(&reqs),
+                    Err(ServeError::Unsupported { endpoint: 0, .. })
+                ),
+                "{g:?} must be rejected"
+            );
+        }
     }
 
     #[test]

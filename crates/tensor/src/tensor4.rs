@@ -137,7 +137,8 @@ impl Tensor4 {
 
     /// One `(n, c)` plane copied into an [`Image2D`].
     pub fn plane(&self, n: usize, c: usize) -> Image2D {
-        Image2D::from_fn(self.h, self.w, |y, x| self.get(n, c, y, x))
+        Image2D::from_vec(self.h, self.w, self.plane_slice(n, c).to_vec())
+            .expect("a plane slice holds h·w elements")
     }
 
     /// One `(n, c)` plane as a borrowed slice (length `h·w`).

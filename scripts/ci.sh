@@ -16,6 +16,12 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
+echo "==> benchmark package (perfbench) builds and passes its tests"
+# perfbench is a cargo workspace of its own with path dependencies on
+# crates/, so the root build and tests above never compile it; a public-API
+# change can break it unnoticed without this step.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> hazard-analysis gate (ablation --analyze --gate)"
 cargo run --release -q -p memconv-bench --bin ablation -- --analyze --gate
 
