@@ -298,7 +298,7 @@ impl ConvNchwAlgorithm for FftConv {
         let pp = p * p;
         let mut rep = RunReport::new();
 
-        let bi = sim.mem.upload(input.as_slice());
+        let bi = sim.mem.upload_shared(input.shared());
         let bw = sim.mem.upload(weights.as_slice());
         let bo = sim.mem.alloc(g.out_elems());
         let (twr, twi) = twiddles(p);
@@ -484,8 +484,8 @@ impl ConvNchwAlgorithm for FftConv {
         }
 
         rep.add_api_overhead(crate::CUDNN_CALL_OVERHEAD_S);
-        let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.download(bo).to_vec())
-            .expect("shape by construction");
+        let out =
+            Tensor4::from_vec(n, fn_, oh, ow, sim.mem.take(bo)).expect("shape by construction");
         (out, rep)
     }
 }
@@ -603,7 +603,7 @@ impl ConvNchwAlgorithm for FftTiling {
         let pairs = fn_ * ic;
         let mut rep = RunReport::new();
 
-        let bi = sim.mem.upload(input.as_slice());
+        let bi = sim.mem.upload_shared(input.shared());
         let bw = sim.mem.upload(weights.as_slice());
         let bo = sim.mem.alloc(g.out_elems());
         // filter tile spectra, stored transposed-coalesced: [pair][j*32+row]
@@ -711,8 +711,8 @@ impl ConvNchwAlgorithm for FftTiling {
         rep.push("fft_tiling_main", stats);
 
         rep.add_api_overhead(crate::CUDNN_CALL_OVERHEAD_S);
-        let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.download(bo).to_vec())
-            .expect("shape by construction");
+        let out =
+            Tensor4::from_vec(n, fn_, oh, ow, sim.mem.take(bo)).expect("shape by construction");
         (out, rep)
     }
 }

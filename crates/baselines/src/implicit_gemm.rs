@@ -104,7 +104,7 @@ fn run_implicit(
     let ncols = n * nsp;
     let mut rep = RunReport::new();
 
-    let bi = sim.mem.upload(input.as_slice());
+    let bi = sim.mem.upload_shared(input.shared());
     let bw = sim.mem.upload(weights.as_slice());
     let bo = sim.mem.alloc(g.out_elems());
 
@@ -260,8 +260,7 @@ fn run_implicit(
     );
 
     rep.add_api_overhead(crate::CUDNN_CALL_OVERHEAD_S);
-    let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.download(bo).to_vec())
-        .expect("shape by construction");
+    let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.take(bo)).expect("shape by construction");
     (out, rep)
 }
 

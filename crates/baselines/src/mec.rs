@@ -66,7 +66,7 @@ impl ConvNchwAlgorithm for MecConv {
         let fn_ = g.out_channels;
         let mut rep = RunReport::new();
 
-        let bi = sim.mem.upload(input.as_slice());
+        let bi = sim.mem.upload_shared(input.shared());
         let bw = sim.mem.upload(weights.as_slice());
         let bo = sim.mem.alloc(g.out_elems());
 
@@ -158,8 +158,8 @@ impl ConvNchwAlgorithm for MecConv {
             rep.push(format!("mec_gemm[{img}]"), stats);
         }
 
-        let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.download(bo).to_vec())
-            .expect("shape by construction");
+        let out =
+            Tensor4::from_vec(n, fn_, oh, ow, sim.mem.take(bo)).expect("shape by construction");
         (out, rep)
     }
 }

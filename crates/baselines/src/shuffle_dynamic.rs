@@ -62,7 +62,7 @@ impl Conv2dAlgorithm for ShuffleDynamic {
         let (fh, fw) = (filter.fh(), filter.fw());
         assert!(self.supports(fh, fw), "filter too wide for iTemp[{MAX_FW}]");
         let (oh, ow) = (ih - fh + 1, iw - fw + 1);
-        let bi = sim.mem.upload(input.as_slice());
+        let bi = sim.mem.upload_shared(input.shared());
         let bf = sim.mem.upload(filter.as_slice());
         let bo = sim.mem.alloc(oh * ow);
         let plan = ColumnPlan::new(fw);
@@ -134,8 +134,7 @@ impl Conv2dAlgorithm for ShuffleDynamic {
             });
         });
 
-        let out = Image2D::from_vec(oh, ow, sim.mem.download(bo).to_vec())
-            .expect("shape by construction");
+        let out = Image2D::from_vec(oh, ow, sim.mem.take(bo)).expect("shape by construction");
         let mut rep = RunReport::new();
         rep.push("shuffle_dynamic", stats);
         (out, rep)

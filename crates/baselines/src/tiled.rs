@@ -76,7 +76,7 @@ impl ConvNchwAlgorithm for TiledConv {
         let fn_ = g.out_channels;
         let mut rep = RunReport::new();
 
-        let src = sim.mem.upload(input.as_slice());
+        let src = sim.mem.upload_shared(input.shared());
         let bw = sim.mem.upload(weights.as_slice());
         let bo = sim.mem.alloc(g.out_elems());
 
@@ -204,8 +204,8 @@ impl ConvNchwAlgorithm for TiledConv {
         if self.staging_copy {
             rep.add_api_overhead(crate::LIB_CALL_OVERHEAD_S);
         }
-        let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.download(bo).to_vec())
-            .expect("shape by construction");
+        let out =
+            Tensor4::from_vec(n, fn_, oh, ow, sim.mem.take(bo)).expect("shape by construction");
         (out, rep)
     }
 }

@@ -222,7 +222,7 @@ impl ConvNchwAlgorithm for WinogradFused {
         let pairs = fn_ * ic;
         let mut rep = RunReport::new();
 
-        let bi = sim.mem.upload(input.as_slice());
+        let bi = sim.mem.upload_shared(input.shared());
         let bw = sim.mem.upload(weights.as_slice());
         let bo = sim.mem.alloc(g.out_elems());
         let (bu, stats) = launch_filter_transform(sim, bw, fn_, ic);
@@ -294,7 +294,7 @@ impl ConvNchwAlgorithm for WinogradFused {
         rep.push("winograd_fused", stats);
 
         rep.add_api_overhead(crate::CUDNN_CALL_OVERHEAD_S);
-        let out = Tensor4::from_vec(g.batch, fn_, oh, ow, sim.mem.download(bo).to_vec())
+        let out = Tensor4::from_vec(g.batch, fn_, oh, ow, sim.mem.take(bo))
             .expect("shape by construction");
         (out, rep)
     }
@@ -323,7 +323,7 @@ impl ConvNchwAlgorithm for WinogradNonfused {
         let out_plane = oh * ow;
         let mut rep = RunReport::new();
 
-        let bi = sim.mem.upload(input.as_slice());
+        let bi = sim.mem.upload_shared(input.shared());
         let bw = sim.mem.upload(weights.as_slice());
         let bo = sim.mem.alloc(g.out_elems());
         let (bu, stats) = launch_filter_transform(sim, bw, fn_, ic);
@@ -453,8 +453,8 @@ impl ConvNchwAlgorithm for WinogradNonfused {
         rep.push("winograd_output_transform", stats);
 
         rep.add_api_overhead(crate::CUDNN_CALL_OVERHEAD_S);
-        let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.download(bo).to_vec())
-            .expect("shape by construction");
+        let out =
+            Tensor4::from_vec(n, fn_, oh, ow, sim.mem.take(bo)).expect("shape by construction");
         (out, rep)
     }
 }

@@ -207,12 +207,11 @@ pub fn conv2d_ours_padded(
     let _ = g.f_w; // square filters in ConvGeometry::single; fw checked below
     assert_eq!(fh, fw, "conv2d_ours_padded expects square filters");
     let (oh, ow) = (g.out_h(), g.out_w());
-    let bi = sim.mem.upload(input.as_slice());
+    let bi = sim.mem.upload_shared(input.shared());
     let bf = sim.mem.upload(filter.as_slice());
     let bo = sim.mem.alloc(oh * ow);
     let stats = launch_conv2d_ours_padded(sim, bi, bf, bo, ih, iw, fh, fw, g.pad_h, g.pad_w, cfg);
-    let out =
-        Image2D::from_vec(oh, ow, sim.mem.download(bo).to_vec()).expect("shape by construction");
+    let out = Image2D::from_vec(oh, ow, sim.mem.take(bo)).expect("shape by construction");
     (out, stats)
 }
 
@@ -226,12 +225,11 @@ pub fn conv2d_ours(
     let (ih, iw) = (input.h(), input.w());
     let (fh, fw) = (filter.fh(), filter.fw());
     let (oh, ow) = (ih - fh + 1, iw - fw + 1);
-    let bi = sim.mem.upload(input.as_slice());
+    let bi = sim.mem.upload_shared(input.shared());
     let bf = sim.mem.upload(filter.as_slice());
     let bo = sim.mem.alloc(oh * ow);
     let stats = launch_conv2d_ours(sim, bi, bf, bo, ih, iw, fh, fw, cfg);
-    let out =
-        Image2D::from_vec(oh, ow, sim.mem.download(bo).to_vec()).expect("shape by construction");
+    let out = Image2D::from_vec(oh, ow, sim.mem.take(bo)).expect("shape by construction");
     (out, stats)
 }
 

@@ -219,7 +219,7 @@ pub fn try_conv_depthwise(
             "depthwise weights must be FN x 1 x FH x FW matching the geometry".into(),
         ));
     }
-    let bi = sim.mem.upload(input.as_slice());
+    let bi = sim.mem.upload_shared(input.shared());
     let bw = sim.mem.upload(weights.as_slice());
     let bo = sim.mem.alloc(g.out_elems());
     let stats = try_launch_conv_depthwise(sim, bi, bw, bo, g, cfg)?;
@@ -228,7 +228,7 @@ pub fn try_conv_depthwise(
         g.out_channels,
         g.out_h(),
         g.out_w(),
-        sim.mem.download(bo).to_vec(),
+        sim.mem.take(bo),
     )
     .expect("shape by construction");
     Ok((out, stats))

@@ -139,18 +139,12 @@ pub fn conv_nchw_multi_filter(
         weights.fh(),
         weights.fw(),
     );
-    let bi = sim.mem.upload(input.as_slice());
+    let bi = sim.mem.upload_shared(input.shared());
     let bw = sim.mem.upload(weights.as_slice());
     let bo = sim.mem.alloc(g.out_elems());
     let stats = launch_conv_nchw_multi_filter(sim, bi, bw, bo, &g, cfg, filters_per_pass);
-    let out = Tensor4::from_vec(
-        n,
-        g.out_channels,
-        g.out_h(),
-        g.out_w(),
-        sim.mem.download(bo).to_vec(),
-    )
-    .expect("shape by construction");
+    let out = Tensor4::from_vec(n, g.out_channels, g.out_h(), g.out_w(), sim.mem.take(bo))
+        .expect("shape by construction");
     (out, stats)
 }
 

@@ -275,7 +275,7 @@ pub fn try_conv_nchw_ours_geo(
         )));
     }
     check_geo(sim, g, &ConvEpilogue::none())?;
-    let bi = sim.mem.upload(input.as_slice());
+    let bi = sim.mem.upload_shared(input.shared());
     let bw = sim.mem.upload(weights.as_slice());
     let bo = sim.mem.alloc(g.out_elems());
     let stats = crate::kernel_nchw::try_launch_conv_nchw_fused(
@@ -292,7 +292,7 @@ pub fn try_conv_nchw_ours_geo(
         g.out_channels,
         g.out_h(),
         g.out_w(),
-        sim.mem.download(bo).to_vec(),
+        sim.mem.take(bo),
     )
     .expect("shape by construction");
     Ok((out, stats))

@@ -25,10 +25,14 @@
 //! ## Writing a kernel
 //!
 //! ```
+//! use std::sync::Arc;
 //! use memconv_gpusim::{GpuSim, LaunchConfig, DeviceConfig, LaneMask, VF};
 //!
 //! let mut sim = GpuSim::new(DeviceConfig::rtx2080ti());
-//! let x = sim.mem.upload(&[1.0; 1024]);
+//! // Host storage maps into device memory without a copy (a kernel that
+//! // wrote `x` would copy it first, leaving `host` as it is) ...
+//! let host = Arc::new(vec![1.0; 1024]);
+//! let x = sim.mem.upload_shared(Arc::clone(&host));
 //! let y = sim.mem.alloc(1024);
 //!
 //! let stats = sim.launch(&LaunchConfig::linear(8, 128), |blk| {
@@ -41,8 +45,11 @@
 //!     });
 //! });
 //!
-//! assert_eq!(sim.mem.download(y)[0], 3.0);
 //! assert_eq!(stats.gld_transactions, 32 * 4); // 32 warps, 4 sectors each
+//!
+//! // ... and the result moves back out.
+//! let out: Vec<f32> = sim.mem.take(y);
+//! assert_eq!(out[0], 3.0);
 //! ```
 
 // The one exception is the lane FMA dispatch in `lane.rs`.

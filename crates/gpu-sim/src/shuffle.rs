@@ -21,29 +21,26 @@ fn check_width(width: usize) {
 /// `__shfl_xor_sync`: lane `i` receives the value of lane `i ^ mask`
 /// (within its `width`-lane segment).
 ///
-/// With a power-of-two `width`, `i ^ mask` for `mask < width` never leaves
-/// the segment, so the segment clamp only matters for documentation.
+/// With a power-of-two `width`, `i ^ mask` stays in lane `i`'s segment for
+/// every lane exactly when `mask < width`. Otherwise every source lies
+/// outside its segment, and lanes keep their own value, matching the
+/// hardware's behaviour for out-of-segment reads.
 pub fn shfl_xor<T: Copy>(v: &LaneVec<T>, mask: usize, width: usize) -> LaneVec<T> {
     check_width(width);
     assert!(mask < WARP, "xor mask must be < 32");
-    LaneVec::from_fn(|i| {
-        let src = i ^ mask;
-        // Sources outside the segment return the lane's own value, matching
-        // the hardware's behaviour for out-of-segment reads.
-        if src / width == i / width {
-            v.lane(src)
-        } else {
-            v.lane(i)
-        }
-    })
+    if mask >= width {
+        return *v;
+    }
+    LaneVec::from_fn(|i| v.lane(i ^ mask))
 }
 
 /// `__shfl_up_sync`: lane `i` receives the value of lane `i - delta`; lanes
 /// whose source would fall before their segment keep their own value.
 pub fn shfl_up<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T> {
     check_width(width);
+    let seg_mask = !(width - 1);
     LaneVec::from_fn(|i| {
-        let seg = i / width * width;
+        let seg = i & seg_mask;
         if i >= delta && i - delta >= seg {
             v.lane(i - delta)
         } else {
@@ -57,8 +54,8 @@ pub fn shfl_up<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T
 pub fn shfl_down<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T> {
     check_width(width);
     LaneVec::from_fn(|i| {
-        let seg_end = (i / width + 1) * width;
-        if i + delta < seg_end {
+        let seg_last = i | (width - 1);
+        if i + delta <= seg_last {
             v.lane(i + delta)
         } else {
             v.lane(i)
@@ -70,11 +67,8 @@ pub fn shfl_down<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec
 /// `idx.lane(i) mod width`, within lane `i`'s segment.
 pub fn shfl_idx<T: Copy>(v: &LaneVec<T>, idx: &VU, width: usize) -> LaneVec<T> {
     check_width(width);
-    LaneVec::from_fn(|i| {
-        let seg = i / width * width;
-        let src = seg + (idx.lane(i) as usize % width);
-        v.lane(src)
-    })
+    let lane_mask = width - 1;
+    LaneVec::from_fn(|i| v.lane((i & !lane_mask) | (idx.lane(i) as usize & lane_mask)))
 }
 
 /// Broadcast the value of `src_lane` to every lane

@@ -78,6 +78,48 @@ fn coalesce_oracle(addrs: &[u64; WARP], mask: LaneMask, size: u32, sector_bytes:
     sectors
 }
 
+/// The shuffles' routing as it was before segment bounds became bit masks:
+/// a runtime division (and modulo) by `width` in every lane.
+fn shfl_xor_oracle<T: Copy>(v: &LaneVec<T>, mask: usize, width: usize) -> LaneVec<T> {
+    LaneVec::from_fn(|i| {
+        let src = i ^ mask;
+        if src / width == i / width {
+            v.lane(src)
+        } else {
+            v.lane(i)
+        }
+    })
+}
+
+fn shfl_up_oracle<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T> {
+    LaneVec::from_fn(|i| {
+        let seg = i / width * width;
+        if i >= delta && i - delta >= seg {
+            v.lane(i - delta)
+        } else {
+            v.lane(i)
+        }
+    })
+}
+
+fn shfl_down_oracle<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T> {
+    LaneVec::from_fn(|i| {
+        let seg_end = (i / width + 1) * width;
+        if i + delta < seg_end {
+            v.lane(i + delta)
+        } else {
+            v.lane(i)
+        }
+    })
+}
+
+fn shfl_idx_oracle<T: Copy>(v: &LaneVec<T>, idx: &VU, width: usize) -> LaneVec<T> {
+    LaneVec::from_fn(|i| {
+        let seg = i / width * width;
+        v.lane(seg + (idx.lane(i) as usize % width))
+    })
+}
+
 /// Masks weighted toward the edge cases: empty, one lane, full, or random.
 fn arb_edge_mask() -> impl Strategy<Value = LaneMask> {
     any::<u64>().prop_map(|r| {
@@ -248,6 +290,32 @@ proptest! {
         for l in 0..WARP {
             let src = s.lane(l) as usize;
             prop_assert_eq!(src / width, l / width, "lane {} pulled from {}", l, src);
+        }
+    }
+
+    /// All four shuffles route exactly as the division-based formulas did:
+    /// every mask or delta in 0..=32, every power-of-two width, random lane
+    /// bit patterns (NaN payloads included) and random source indices.
+    #[test]
+    fn shuffles_match_division_oracles(bits in prop::collection::vec(any::<u32>(), WARP),
+                                       idxs in prop::collection::vec(any::<u32>(), WARP)) {
+        let v = VU::from_fn(|l| bits[l]);
+        let vf = VF::from_fn(|l| f32::from_bits(bits[l]));
+        let as_bits = |x: VF| VU::from_fn(|l| x.lane(l).to_bits());
+        let idx = VU::from_fn(|l| idxs[l]);
+        for wexp in 0..=5 {
+            let width = 1usize << wexp;
+            for m in 0..=WARP {
+                if m < WARP {
+                    prop_assert_eq!(shuffle::shfl_xor(&v, m, width), shfl_xor_oracle(&v, m, width));
+                    prop_assert_eq!(as_bits(shuffle::shfl_xor(&vf, m, width)), shfl_xor_oracle(&v, m, width));
+                }
+                prop_assert_eq!(shuffle::shfl_up(&v, m, width), shfl_up_oracle(&v, m, width));
+                prop_assert_eq!(shuffle::shfl_down(&v, m, width), shfl_down_oracle(&v, m, width));
+            }
+            prop_assert_eq!(shuffle::shfl_idx(&v, &idx, width), shfl_idx_oracle(&v, &idx, width));
+            prop_assert_eq!(as_bits(shuffle::shfl_idx(&vf, &idx, width)),
+                            shfl_idx_oracle(&v, &idx, width));
         }
     }
 

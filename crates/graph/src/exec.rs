@@ -24,6 +24,8 @@
 //! legitimately differ — buffer base addresses differ between schedules,
 //! so L2 set indexing differs — but outputs may not.
 
+use std::sync::Arc;
+
 use crate::ir::{GraphIrError, LayerGraph, LayerOp};
 use crate::plan::{plan_graph, FusionMode, FusionReport, GraphPlan, Step, StepKind};
 use memconv::core::{try_launch_conv_nchw_fused, ConvEpilogue, OursConfig};
@@ -417,7 +419,7 @@ impl GraphExecutor {
         mode: GraphMode,
     ) -> Result<(Tensor4, GraphRunReport), GraphError> {
         let mut sim = self.new_sim();
-        let input_buf = sim.mem.upload(input.as_slice());
+        let input_buf = sim.mem.upload_shared(input.shared());
         let slots: Vec<BufId> = plan
             .pool
             .slot_elems
@@ -438,10 +440,11 @@ impl GraphExecutor {
 
         let out_shape = graph.shape(graph.output());
         let out_slot = plan.pool.slot[graph.output().0].expect("output materializes");
-        let data = sim
-            .mem
-            .download_prefix(slots[out_slot], batch * out_shape.elems())
-            .to_vec();
+        // The pool slot may be oversized: the output is its prefix, and it
+        // gives the rest of the slot's allocation back.
+        let mut data = sim.mem.take(slots[out_slot]);
+        data.truncate(batch * out_shape.elems());
+        data.shrink_to_fit();
         let output = Tensor4::from_vec(batch, out_shape.c, out_shape.h, out_shape.w, data)
             .expect("shape by construction");
 
@@ -463,23 +466,29 @@ impl GraphExecutor {
         batch: usize,
         mode: GraphMode,
     ) -> Result<(Tensor4, GraphRunReport), GraphError> {
-        let mut cur = input.as_slice().to_vec();
+        let mut cur = input.shared();
         let mut layers = Vec::with_capacity(plan.steps.len());
         let mut spans = Vec::new();
         let mut peak = 0usize;
         for step in &plan.steps {
             let mut sim = self.new_sim();
-            let src = sim.mem.upload_vec(std::mem::take(&mut cur));
+            let src = sim.mem.upload_shared(cur);
             let dst = sim.mem.alloc(batch * graph.shape(step.output).elems());
             let label = format!("{}/{}", graph.model, step_name(graph, step));
             layers.push(self.exec_step(&mut sim, graph, step, src, dst, batch, &label)?);
-            cur = sim.mem.download(dst).to_vec();
+            cur = Arc::new(sim.mem.take(dst));
             peak = peak.max(sim.mem.total_elems());
             spans.extend(sim.take_launch_spans());
         }
         let out_shape = graph.shape(graph.output());
-        let output = Tensor4::from_vec(batch, out_shape.c, out_shape.h, out_shape.w, cur)
-            .expect("shape by construction");
+        let output = Tensor4::from_vec(
+            batch,
+            out_shape.c,
+            out_shape.h,
+            out_shape.w,
+            Arc::unwrap_or_clone(cur),
+        )
+        .expect("shape by construction");
         let roundtrips = plan.steps.len().saturating_sub(1);
         Ok((
             output,
@@ -570,6 +579,10 @@ mod tests {
                 "model {}",
                 graph.model
             );
+            // The output is taken from a pool slot sized for the largest
+            // tensor assigned to it, but holds no more than its elements.
+            let len = fused.len();
+            assert_eq!(fused.into_vec().capacity(), len, "model {}", graph.model);
         }
     }
 

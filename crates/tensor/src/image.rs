@@ -1,14 +1,17 @@
 //! Single-channel 2D images — the workload of the paper's Fig. 3
 //! experiments (2D convolution on 256×256 … 4K×4K images).
 
+use std::sync::Arc;
+
 use crate::shape::ShapeError;
 
-/// A single-channel `H × W` image of `f32` samples, stored row-major.
+/// A single-channel `H × W` image of `f32` samples, stored row-major in
+/// shared copy-on-write storage, like [`crate::Tensor4`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Image2D {
     h: usize,
     w: usize,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Image2D {
@@ -17,7 +20,7 @@ impl Image2D {
         Image2D {
             h,
             w,
-            data: vec![0.0; h * w],
+            data: Arc::new(vec![0.0; h * w]),
         }
     }
 
@@ -29,7 +32,11 @@ impl Image2D {
                 got: data.len(),
             });
         }
-        Ok(Image2D { h, w, data })
+        Ok(Image2D {
+            h,
+            w,
+            data: Arc::new(data),
+        })
     }
 
     /// Build an image by evaluating `f(row, col)` at every pixel.
@@ -40,7 +47,11 @@ impl Image2D {
                 data.push(f(r, c));
             }
         }
-        Image2D { h, w, data }
+        Image2D {
+            h,
+            w,
+            data: Arc::new(data),
+        }
     }
 
     /// Image height in pixels.
@@ -87,11 +98,11 @@ impl Image2D {
         }
     }
 
-    /// Mutable pixel accessor.
+    /// Mutable pixel accessor (copies shared storage first).
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
         assert!(r < self.h && c < self.w);
-        self.data[r * self.w + c] = v;
+        Arc::make_mut(&mut self.data)[r * self.w + c] = v;
     }
 
     /// Row-major backing slice.
@@ -99,14 +110,21 @@ impl Image2D {
         &self.data
     }
 
-    /// Mutable row-major backing slice.
+    /// Mutable row-major backing slice (copies shared storage first).
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consume into the backing vector.
+    /// Consume into the backing vector: a move when the storage is not
+    /// shared, a copy otherwise.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::unwrap_or_clone(self.data)
+    }
+
+    /// A handle to the backing storage, without copying. The simulator
+    /// maps it into device memory with `GlobalMem::upload_shared`.
+    pub fn shared(&self) -> Arc<Vec<f32>> {
+        Arc::clone(&self.data)
     }
 
     /// One image row as a slice.
@@ -118,9 +136,10 @@ impl Image2D {
     /// Return a zero-padded copy with `pad_h`/`pad_w` zeros on each side.
     pub fn zero_pad(&self, pad_h: usize, pad_w: usize) -> Image2D {
         let mut out = Image2D::zeros(self.h + 2 * pad_h, self.w + 2 * pad_w);
+        let data = Arc::make_mut(&mut out.data);
         for r in 0..self.h {
             let dst = (r + pad_h) * out.w + pad_w;
-            out.data[dst..dst + self.w].copy_from_slice(self.row(r));
+            data[dst..dst + self.w].copy_from_slice(self.row(r));
         }
         out
     }
@@ -200,6 +219,18 @@ mod tests {
     fn mean_of_ramp() {
         let img = Image2D::from_fn(1, 5, |_, c| c as f32);
         assert!((img.mean() - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn writes_copy_shared_storage_only() {
+        let img = Image2D::from_fn(2, 2, |r, c| (r * 2 + c) as f32);
+        let mut copy = img.clone();
+        copy.set(1, 1, 9.0);
+        assert_eq!(img.get(1, 1), 3.0);
+        assert_eq!(copy.get(1, 1), 9.0);
+        let ptr = copy.as_slice().as_ptr();
+        let moved = copy.into_vec();
+        assert_eq!(moved.as_ptr(), ptr);
     }
 
     #[test]

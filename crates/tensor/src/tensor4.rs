@@ -1,17 +1,24 @@
 //! `N × C × H × W` tensors for the multi-channel convolution workloads
 //! (Fig. 4 / Table I of the paper).
 
+use std::sync::Arc;
+
 use crate::image::Image2D;
 use crate::shape::ShapeError;
 
 /// A 4-dimensional `f32` tensor in NCHW layout (row-major, `W` fastest).
+///
+/// The elements live in shared copy-on-write storage: `clone`,
+/// [`Tensor4::from_image`] and [`Tensor4::shared`] are O(1), and a write
+/// copies the storage only while another holder (a clone, an image, a
+/// simulator buffer mapped with `GlobalMem::upload_shared`) still sees it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor4 {
     n: usize,
     c: usize,
     h: usize,
     w: usize,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor4 {
@@ -22,7 +29,7 @@ impl Tensor4 {
             c,
             h,
             w,
-            data: vec![0.0; n * c * h * w],
+            data: Arc::new(vec![0.0; n * c * h * w]),
         }
     }
 
@@ -41,7 +48,13 @@ impl Tensor4 {
                 got: data.len(),
             });
         }
-        Ok(Tensor4 { n, c, h, w, data })
+        Ok(Tensor4 {
+            n,
+            c,
+            h,
+            w,
+            data: Arc::new(data),
+        })
     }
 
     /// Build by evaluating `f(n, c, y, x)` at every element.
@@ -62,7 +75,13 @@ impl Tensor4 {
                 }
             }
         }
-        Tensor4 { n, c, h, w, data }
+        Tensor4 {
+            n,
+            c,
+            h,
+            w,
+            data: Arc::new(data),
+        }
     }
 
     /// Batch size.
@@ -113,11 +132,11 @@ impl Tensor4 {
         self.data[self.offset(n, c, y, x)]
     }
 
-    /// Mutable element accessor.
+    /// Mutable element accessor (copies shared storage first).
     #[inline]
     pub fn set(&mut self, n: usize, c: usize, y: usize, x: usize, v: f32) {
         let o = self.offset(n, c, y, x);
-        self.data[o] = v;
+        Arc::make_mut(&mut self.data)[o] = v;
     }
 
     /// NCHW backing slice.
@@ -125,14 +144,21 @@ impl Tensor4 {
         &self.data
     }
 
-    /// Mutable NCHW backing slice.
+    /// Mutable NCHW backing slice (copies shared storage first).
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consume into the backing vector.
+    /// Consume into the backing vector: a move when the storage is not
+    /// shared, a copy otherwise.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::unwrap_or_clone(self.data)
+    }
+
+    /// A handle to the backing storage, without copying. The simulator
+    /// maps it into device memory with `GlobalMem::upload_shared`.
+    pub fn shared(&self) -> Arc<Vec<f32>> {
+        Arc::clone(&self.data)
     }
 
     /// One `(n, c)` plane copied into an [`Image2D`].
@@ -151,17 +177,17 @@ impl Tensor4 {
     pub fn set_plane(&mut self, n: usize, c: usize, img: &Image2D) {
         assert_eq!((img.h(), img.w()), (self.h, self.w), "plane shape mismatch");
         let base = self.offset(n, c, 0, 0);
-        self.data[base..base + self.h * self.w].copy_from_slice(img.as_slice());
+        Arc::make_mut(&mut self.data)[base..base + self.h * self.w].copy_from_slice(img.as_slice());
     }
 
-    /// Lift a single image to a `1×1×H×W` tensor.
+    /// Lift a single image to a `1×1×H×W` tensor sharing its storage.
     pub fn from_image(img: &Image2D) -> Self {
         Tensor4 {
             n: 1,
             c: 1,
             h: img.h(),
             w: img.w(),
-            data: img.as_slice().to_vec(),
+            data: img.shared(),
         }
     }
 }
@@ -208,6 +234,46 @@ mod tests {
         let t = Tensor4::from_image(&img);
         assert_eq!(t.dims(), (1, 1, 2, 3));
         assert_eq!(t.get(0, 0, 1, 2), 5.0);
+    }
+
+    #[test]
+    fn from_image_shares_storage() {
+        let img = Image2D::from_fn(4, 5, |r, c| (r * 5 + c) as f32);
+        let t = Tensor4::from_image(&img);
+        assert!(Arc::ptr_eq(&t.shared(), &img.shared()));
+    }
+
+    #[test]
+    fn writes_copy_shared_storage_only() {
+        let t = Tensor4::from_fn(1, 2, 2, 2, |_, c, y, x| (c * 4 + y * 2 + x) as f32);
+        let mut u = t.clone();
+        assert!(Arc::ptr_eq(&t.shared(), &u.shared()), "clone is O(1)");
+        u.set(0, 1, 1, 1, -1.0);
+        assert_eq!(t.get(0, 1, 1, 1), 7.0, "the original never changes");
+        assert_eq!(u.get(0, 1, 1, 1), -1.0);
+        // Unshared storage is written in place and moved out.
+        let ptr = u.as_slice().as_ptr();
+        u.as_mut_slice()[0] = 3.0;
+        assert_eq!(u.as_slice().as_ptr(), ptr);
+        let moved = u.into_vec();
+        assert_eq!(moved.as_ptr(), ptr);
+        // Shared storage is copied out.
+        let handle = t.shared();
+        let v = t.into_vec();
+        assert_ne!(v.as_ptr(), handle.as_ptr());
+        assert_eq!(&v, handle.as_ref());
+    }
+
+    #[test]
+    fn debug_and_eq_see_elements_not_storage() {
+        let t = Tensor4::from_vec(1, 1, 1, 2, vec![1.0, 2.0]).unwrap();
+        assert_eq!(
+            format!("{t:?}"),
+            "Tensor4 { n: 1, c: 1, h: 1, w: 2, data: [1.0, 2.0] }"
+        );
+        let mut u = t.clone();
+        u.set(0, 0, 0, 0, 1.0);
+        assert_eq!(t, u);
     }
 
     #[test]
