@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use memconv::gpusim::lane::{LaneMask, LaneVec, VF, VU, WARP};
-use memconv::gpusim::memory::cache::{CachePolicy, SectoredCache};
+use memconv::gpusim::memory::cache::{Access, CachePolicy, SectoredCache};
 use memconv::gpusim::memory::coalescer::coalesce_into;
 use memconv::gpusim::memory::SharedMem;
 use memconv::gpusim::shuffle;
@@ -55,6 +55,16 @@ fn bench_shared(c: &mut Criterion) {
     c.bench_function("smem_store", |b| {
         b.iter(|| black_box(smem.store(black_box(&unit), &vals, LaneMask::ALL)))
     });
+    // The GEMM kernels' A-operand read: every lane on one 4-word segment.
+    let broadcast = VU::splat(64);
+    c.bench_function("smem_load_vec_broadcast", |b| {
+        b.iter(|| black_box(smem.load_vec::<4>(black_box(&broadcast), LaneMask::ALL)))
+    });
+    // Every lane on its own segment, in a shuffled order.
+    let scattered = VU::from_fn(|l| ((l as u32 * 7) % 32) * 4);
+    c.bench_function("smem_load_vec_scattered", |b| {
+        b.iter(|| black_box(smem.load_vec::<4>(black_box(&scattered), LaneMask::ALL)))
+    });
 }
 
 fn bench_fma(c: &mut Criterion) {
@@ -72,14 +82,52 @@ fn bench_cache(c: &mut Criterion) {
             let mut cache = SectoredCache::new(64 * 1024, 4, 128, 32, CachePolicy::l2());
             let mut hits = 0u64;
             for i in 0..4096u64 {
-                if matches!(
-                    cache.access((i % 1024) * 32, false),
-                    memconv::gpusim::memory::cache::Access::Hit
-                ) {
+                if matches!(cache.access((i % 1024) * 32, false), Access::Hit) {
                     hits += 1;
                 }
             }
             std::hint::black_box(hits)
+        })
+    });
+}
+
+fn bench_cache_2080ti(c: &mut Criterion) {
+    let dev = DeviceConfig::rtx2080ti();
+    // 512 sectors of one block's working set, all resident after the
+    // first sweep: the L1 hit path (power-of-two set count).
+    let mut l1 = SectoredCache::new(
+        dev.l1_bytes,
+        dev.l1_ways,
+        dev.line_bytes,
+        dev.sector_bytes,
+        CachePolicy::l1(),
+    );
+    c.bench_function("cache_l1_resident_hits", |b| {
+        b.iter(|| {
+            let mut hits = 0u64;
+            for i in 0..512u64 {
+                hits += matches!(l1.access(black_box(i * 32), false), Access::Hit) as u64;
+            }
+            black_box(hits)
+        })
+    });
+    // A launch-sized L2 stream with reuse: 16k sectors over an 8 MB
+    // footprint on the 2816-set (not a power of two) L2.
+    let mut l2 = SectoredCache::new(
+        dev.l2_bytes,
+        dev.l2_ways,
+        dev.line_bytes,
+        dev.sector_bytes,
+        CachePolicy::l2(),
+    );
+    c.bench_function("cache_l2_stream_2080ti", |b| {
+        b.iter(|| {
+            let mut hits = 0u64;
+            for i in 0..16_384u64 {
+                let sector = (i * 0x9E37_79B9) % (1 << 18);
+                hits += matches!(l2.access(sector * 32, i % 4 == 0), Access::Hit) as u64;
+            }
+            black_box(hits)
         })
     });
 }
@@ -109,6 +157,28 @@ fn bench_launch(c: &mut Criterion) {
             std::hint::black_box(stats.gld_transactions)
         })
     });
+    // Many one-block launches on one simulator, so each launch renews the
+    // kept L2 and block L1 instead of building them. Isolates that per-launch
+    // cost; no perfbench workload launches this way (EXPERIMENTS.md counts
+    // their launches per simulator).
+    let mut sim = GpuSim::rtx2080ti();
+    let x = sim.mem.alloc(256);
+    c.bench_function("tiny_launch_loop", |b| {
+        b.iter(|| {
+            let mut gld = 0;
+            for _ in 0..16 {
+                let stats = sim.launch(&LaunchConfig::linear(1, 256).with_shared(1024), |blk| {
+                    blk.each_warp(|w| {
+                        let tid = w.thread_idx();
+                        let v = w.gld(x, &tid, LaneMask::ALL);
+                        w.sst(&tid, &v, LaneMask::ALL);
+                    });
+                });
+                gld += stats.gld_transactions;
+            }
+            black_box(gld)
+        })
+    });
 }
 
 criterion_group!(
@@ -117,6 +187,7 @@ criterion_group!(
     bench_shared,
     bench_fma,
     bench_cache,
+    bench_cache_2080ti,
     bench_shuffle,
     bench_launch
 );

@@ -24,6 +24,11 @@
 //! appends one row per (layer, kernel, engine) to `BENCH_predict.json`
 //! (identity-deduped, so re-runs refresh in place); `--mode parallel`
 //! checks the multicore trace-replay engine instead.
+//!
+//! Each row times its two halves apart: `predict_s` is the oracle's
+//! planning cost (the phantom run and the affine fit), `measure_s` the
+//! measured run it is checked against. Both are host seconds, printed in
+//! the table's last two columns; `wall_clock_s` in the JSON is their sum.
 
 use memconv::gpusim::LaunchMode;
 use memconv::oracle::{predict_2d, predict_nchw, transaction_signature, Prediction};
@@ -44,7 +49,10 @@ struct Row {
     exact: bool,
     consistent: bool,
     data_dependent: bool,
-    wall_clock_s: f64,
+    /// Host seconds of the oracle's prediction (phantom run and fit).
+    predict_s: f64,
+    /// Host seconds of the measured run on random data.
+    measure_s: f64,
 }
 
 impl Row {
@@ -60,14 +68,17 @@ impl Row {
     fn to_json(&self, mode: &str, threads: usize) -> String {
         format!(
             "{{\"figure\":\"{}\",\"kernel\":\"{}\",\"mode\":\"{mode}\",\"threads\":{threads},\
-             \"host_parallelism\":{},\"wall_clock_s\":{:.6},\
+             \"host_parallelism\":{},\"wall_clock_s\":{:.6},\"predict_s\":{:.6},\
+             \"measure_s\":{:.6},\
              \"global_transactions_predicted\":{},\"global_transactions_measured\":{},\
              \"smem_passes_predicted\":{},\"smem_passes_measured\":{},\
              \"signature_match\":{},\"closed_form_exact\":{},\"data_dependent\":{}}}",
             self.figure,
             self.kernel,
             host_parallelism(),
-            self.wall_clock_s,
+            self.predict_s + self.measure_s,
+            self.predict_s,
+            self.measure_s,
             self.predicted[1] + self.predicted[3],
             self.measured[1] + self.measured[3],
             self.predicted[8],
@@ -136,8 +147,16 @@ fn main() {
 
     println!("=== symbolic oracle vs measured runs — {mode_name} engine ===");
     println!(
-        "{:<28} {:<10} {:>14} {:>14} {:>6} {:>6} {:>9}",
-        "layer", "kernel", "txn predicted", "txn measured", "sig", "exact", "verdict"
+        "{:<28} {:<10} {:>14} {:>14} {:>6} {:>6} {:>9} {:>10} {:>10}",
+        "layer",
+        "kernel",
+        "txn predicted",
+        "txn measured",
+        "sig",
+        "exact",
+        "verdict",
+        "predict s",
+        "measure s"
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -165,8 +184,11 @@ fn main() {
                     std::process::exit(1);
                 }
             };
+            let predict_s = start.elapsed().as_secs_f64();
             let seed = (m.spatial as u64) << 8 | m.filter as u64;
+            let start = Instant::now();
             let real = measure_nchw(algo.as_ref(), &device, &g, mode, seed);
+            let measure_s = start.elapsed().as_secs_f64();
             let row = Row {
                 figure: figure.clone(),
                 kernel: algo.name().to_string(),
@@ -175,10 +197,11 @@ fn main() {
                 exact: p.is_exact(),
                 consistent: p.consistent,
                 data_dependent: p.data_dependent(),
-                wall_clock_s: start.elapsed().as_secs_f64(),
+                predict_s,
+                measure_s,
             };
             println!(
-                "{:<28} {:<10} {:>14} {:>14} {:>6} {:>6} {:>9}",
+                "{:<28} {:<10} {:>14} {:>14} {:>6} {:>6} {:>9} {:>10.4} {:>10.4}",
                 format!("{}/{}", m.model, m.layer),
                 row.kernel,
                 row.predicted[1] + row.predicted[3],
@@ -186,6 +209,8 @@ fn main() {
                 if row.signature_match() { "ok" } else { "MISS" },
                 if row.exact { "ok" } else { "MISS" },
                 verdict(&p),
+                row.predict_s,
+                row.measure_s,
             );
             rows.push(row);
         }
@@ -200,16 +225,19 @@ fn main() {
         let start = Instant::now();
         match predict_2d(&ShuffleDynamic::new(), &device, &g, mode) {
             Ok(p) => {
+                let predict_s = start.elapsed().as_secs_f64();
                 let flagged = p.data_dependent();
                 println!(
-                    "{:<28} {:<10} {:>14} {:>14} {:>6} {:>6} {:>9}",
+                    "{:<28} {:<10} {:>14} {:>14} {:>6} {:>6} {:>9} {:>10.4} {:>10}",
                     "control/32x32 f3",
                     "shuffle",
                     "-",
                     "-",
                     "-",
                     "-",
-                    verdict(&p)
+                    verdict(&p),
+                    predict_s,
+                    "-"
                 );
                 if emit_json {
                     rows.push(Row {
@@ -220,7 +248,8 @@ fn main() {
                         exact: p.is_exact(),
                         consistent: p.consistent,
                         data_dependent: flagged,
-                        wall_clock_s: start.elapsed().as_secs_f64(),
+                        predict_s,
+                        measure_s: 0.0,
                     });
                 }
                 Some(flagged)

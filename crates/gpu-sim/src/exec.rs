@@ -36,7 +36,8 @@ use crate::device::DeviceConfig;
 use crate::faults::{self, BlockFaults, FaultLog, FaultPlan};
 use crate::lane::{LaneMask, VF, VU, WARP};
 use crate::memory::hierarchy::{
-    flush_l2, new_l1, new_l2, phantom_access, replay_trace, warp_access, L2Sink, Space,
+    flush_l2, l1_geometry, l2_geometry, phantom_access, renew, replay_trace, warp_access, L2Sink,
+    Space,
 };
 use crate::memory::{BufId, GlobalMem, SectoredCache, SharedMem};
 use crate::obs::{LaunchSpanRecord, SpanConfig, SpanScratch};
@@ -80,25 +81,41 @@ impl SampleMode {
             return SampleMode::Full;
         }
         let chunk = 64u32;
-        let skip = (total / target.max(1)).max(2) as u32;
+        // Above `target · 2³²` blocks the ideal skip exceeds a u32; the
+        // widest one simulates a little more than `target` blocks.
+        let skip = u32::try_from((total / target.max(1)).max(2)).unwrap_or(u32::MAX);
         SampleMode::Chunked { chunk, skip }
     }
 
-    /// Whether block `linear` is simulated under this (already resolved)
-    /// mode.
-    fn selects(&self, linear: u64) -> bool {
-        match *self {
-            SampleMode::Full => true,
+    /// The linear ids of the blocks this mode simulates out of `total`,
+    /// ascending; `Auto(t)` selects what [`SampleMode::auto`]`(total, t)`
+    /// does, as a launch resolves it. Every mode selects runs of
+    /// consecutive blocks at a fixed period — `Full` one run of all blocks,
+    /// `Stride(k)` one block every `k`, `Chunked` `chunk` blocks every
+    /// `chunk · skip` — so the walk visits only selected blocks, whatever
+    /// the grid size.
+    pub fn selected(self, total: u64) -> impl Iterator<Item = u64> {
+        let resolved = match self {
+            SampleMode::Auto(target) => SampleMode::auto(total, target),
+            mode => mode,
+        };
+        let (chunk, skip) = match resolved {
+            SampleMode::Full => (total.max(1), 1),
             SampleMode::Stride(k) => {
                 assert!(k >= 1, "sample stride must be >= 1");
-                linear.is_multiple_of(k as u64)
+                (1, k as u64)
             }
             SampleMode::Chunked { chunk, skip } => {
                 assert!(chunk >= 1 && skip >= 1, "bad chunk sampling");
-                (linear / chunk as u64).is_multiple_of(skip as u64)
+                (chunk as u64, skip as u64)
             }
-            SampleMode::Auto(_) => unreachable!("Auto is resolved at launch"),
-        }
+            SampleMode::Auto(_) => unreachable!("`auto` picks Full or Chunked"),
+        };
+        let period = chunk * skip;
+        (0..total.div_ceil(period)).flat_map(move |run| {
+            let start = run * period;
+            start..total.min(start.saturating_add(chunk))
+        })
     }
 }
 
@@ -208,6 +225,17 @@ impl LaunchConfig {
         if self.block > dev.max_threads_per_sm {
             return fail("block size exceeds device limit".into());
         }
+        let (gx, gy, gz) = self.grid;
+        let threads = (gx as u64)
+            .checked_mul(gy as u64)
+            .and_then(|b| b.checked_mul(gz as u64))
+            .and_then(|b| b.checked_mul(self.block as u64));
+        if threads.is_none() {
+            return fail(format!(
+                "grid {gx}x{gy}x{gz} of {}-thread blocks overflows a 64-bit thread count",
+                self.block
+            ));
+        }
         if self.num_blocks() == 0 {
             return fail("empty grid".into());
         }
@@ -218,7 +246,7 @@ impl LaunchConfig {
                 dev.smem_per_sm
             ));
         }
-        Ok(())
+        check_memory_geometry(dev).or_else(fail)
     }
 
     fn validate(&self, dev: &DeviceConfig) {
@@ -228,14 +256,37 @@ impl LaunchConfig {
     }
 }
 
+/// Check the device parameters the memory model relies on: L1 and L2
+/// geometries the caches can index (`CacheGeometry::check`, whose
+/// power-of-two sectors the coalescer needs too), sectors of at least
+/// 32 B (the parallel engine's [`BlockTrace`] records sector addresses in
+/// 32-byte units), and at least one shared-memory bank.
+fn check_memory_geometry(dev: &DeviceConfig) -> Result<(), String> {
+    for (level, geometry) in [("L1", l1_geometry(dev)), ("L2", l2_geometry(dev))] {
+        geometry.check().map_err(|msg| format!("{level}: {msg}"))?;
+    }
+    if dev.sector_bytes < 32 {
+        return Err(format!(
+            "{} B sectors are finer than the 32 B units of the sector trace",
+            dev.sector_bytes
+        ));
+    }
+    if dev.smem_banks == 0 {
+        return Err("device has no shared-memory banks".into());
+    }
+    Ok(())
+}
+
 /// Why a [`GpuSim::try_launch`] failed. Plain [`GpuSim::launch`] panics in
 /// the same situations (minus [`LaunchError::Timeout`], which needs the
 /// watchdog that only `try_launch` arms by default).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LaunchError {
     /// The launch configuration is rejected before any block runs
-    /// (zero/non-warp-multiple/oversized block, empty grid, shared-memory
-    /// request beyond the device limit).
+    /// (zero/non-warp-multiple/oversized block, empty grid, a grid whose
+    /// thread count overflows 64 bits, shared-memory request beyond the
+    /// device limit, or a device whose memory geometry the model cannot
+    /// index: see [`LaunchConfig::try_validate`]).
     InvalidConfig(String),
     /// A lane addressed a device buffer out of bounds (also covers
     /// buffer-size mismatches between the kernel's indexing and the actual
@@ -327,10 +378,10 @@ struct LaunchEnv {
 struct Resources<'a> {
     dev: &'a DeviceConfig,
     glob: GlobalView<'a>,
-    l1: SectoredCache,
+    l1: &'a mut SectoredCache,
     l2: L2Sink<'a>,
     stats: &'a mut KernelStats,
-    shared: SharedMem,
+    shared: &'a mut SharedMem,
     /// Hazard-analysis event recorder; `None` outside analyzed launches, in
     /// which case every instrumented path is byte-for-byte the plain path.
     analysis: Option<&'a mut BlockCollector>,
@@ -619,7 +670,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         }
         let txns = warp_access(
             self.res.dev,
-            &mut self.res.l1,
+            self.res.l1,
             &mut self.res.l2,
             self.res.stats,
             &addrs,
@@ -685,7 +736,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         }
         let txns = warp_access(
             self.res.dev,
-            &mut self.res.l1,
+            self.res.l1,
             &mut self.res.l2,
             self.res.stats,
             &addrs,
@@ -974,7 +1025,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         }
         let txns = warp_access(
             self.res.dev,
-            &mut self.res.l1,
+            self.res.l1,
             &mut self.res.l2,
             self.res.stats,
             &addrs,
@@ -989,15 +1040,47 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     }
 }
 
+/// A block's on-chip state: its L1 and its shared-memory arena. Kept
+/// across blocks and launches, and made equal to a fresh block's state by
+/// [`OnChip::renew`] before each block runs.
+#[derive(Debug)]
+struct OnChip {
+    l1: Option<SectoredCache>,
+    shared: SharedMem,
+}
+
+impl OnChip {
+    fn new() -> Self {
+        OnChip {
+            l1: None,
+            shared: SharedMem::new(0, 1),
+        }
+    }
+
+    /// The L1 and shared arena a fresh block sees on `dev` with
+    /// `shared_words` of shared memory: the L1 reset (or rebuilt when
+    /// `dev`'s cache geometry changed), the arena resized and zeroed.
+    fn renew(
+        &mut self,
+        dev: &DeviceConfig,
+        shared_words: usize,
+    ) -> (&mut SectoredCache, &mut SharedMem) {
+        self.shared.reset(shared_words, dev.smem_banks);
+        (renew(&mut self.l1, l1_geometry(dev)), &mut self.shared)
+    }
+}
+
 /// Recyclable per-block working state for the parallel engine: the trace
-/// arena and the store-buffer page tables. Pooled per [`GpuSim`] and
-/// recycled across blocks *and* launches — phase 1 hands each worker a
-/// private stash, phase 2 returns drained (capacity-retaining) scratch to
-/// the pool — so steady-state launches allocate nothing per block.
-#[derive(Debug, Default)]
+/// arena, the store-buffer page tables and the on-chip state. Pooled per
+/// [`GpuSim`] and recycled across blocks *and* launches — phase 1 hands
+/// each worker a private stash, phase 2 returns drained
+/// (capacity-retaining) scratch to the pool — so steady-state launches
+/// allocate nothing per block.
+#[derive(Debug)]
 struct BlockScratch {
     trace: BlockTrace,
     store: StoreBuffer,
+    on_chip: OnChip,
 }
 
 impl BlockScratch {
@@ -1007,6 +1090,7 @@ impl BlockScratch {
         BlockScratch {
             trace: BlockTrace::new(),
             store: StoreBuffer::with_footprint_hint(hint_words),
+            on_chip: OnChip::new(),
         }
     }
 }
@@ -1014,8 +1098,8 @@ impl BlockScratch {
 /// Everything one block produces in the parallel functional phase.
 struct BlockOutcome {
     stats: KernelStats,
-    trace: BlockTrace,
-    store: StoreBuffer,
+    /// The block's scratch, holding its recorded trace and buffered stores.
+    scratch: BlockScratch,
     /// Hazard events, present only under an analyzed launch; merged into
     /// the launch collector in block-linear order during phase 2, so
     /// reports are identical across [`LaunchMode`]s.
@@ -1041,7 +1125,11 @@ fn run_block_traced(
     env: LaunchEnv,
     scratch: BlockScratch,
 ) -> BlockOutcome {
-    let BlockScratch { mut trace, store } = scratch;
+    let BlockScratch {
+        mut trace,
+        store,
+        mut on_chip,
+    } = scratch;
     debug_assert!(
         trace.is_empty() && store.is_empty(),
         "scratch arrives drained"
@@ -1052,14 +1140,15 @@ fn run_block_traced(
         .faults
         .map(|p| BlockFaults::new(&p, env.launch_seq, linear));
     let mut sym = env.phantom.map(|_| SymBlockCollector::for_block());
+    let (l1, shared) = on_chip.renew(dev, cfg.shared_words);
     let mut blk = BlockCtx {
         res: Resources {
             dev,
             glob: GlobalView::Overlay { base: mem, store },
-            l1: new_l1(dev),
+            l1,
             l2: L2Sink::Deferred(&mut trace),
             stats: &mut stats,
-            shared: SharedMem::new(cfg.shared_words, dev.smem_banks),
+            shared,
             analysis: collector.as_mut(),
             faults: faults.as_mut(),
             phantom: env.phantom,
@@ -1077,8 +1166,11 @@ fn run_block_traced(
     };
     BlockOutcome {
         stats,
-        trace,
-        store,
+        scratch: BlockScratch {
+            trace,
+            store,
+            on_chip,
+        },
         collector,
         faults,
         sym,
@@ -1118,9 +1210,15 @@ pub struct GpuSim {
     spans: Option<SpanConfig>,
     span_label: String,
     launch_spans: Vec<LaunchSpanRecord>,
-    /// Recycled per-block scratch (trace arenas, store-buffer tables) for
-    /// the parallel engine, persisting across launches.
+    /// Recycled per-block scratch (trace arenas, store-buffer tables,
+    /// on-chip state) for the parallel engine, persisting across launches.
     scratch_pool: Vec<BlockScratch>,
+    /// The launch-wide L2, kept across launches and renewed at the start
+    /// of each (built on the first launch, rebuilt when `device`'s L2
+    /// geometry changes).
+    l2: Option<SectoredCache>,
+    /// The sequential engine's on-chip state, renewed for every block.
+    on_chip: OnChip,
 }
 
 impl GpuSim {
@@ -1141,6 +1239,8 @@ impl GpuSim {
             span_label: String::new(),
             launch_spans: Vec::new(),
             scratch_pool: Vec::new(),
+            l2: None,
+            on_chip: OnChip::new(),
         }
     }
 
@@ -1523,9 +1623,9 @@ impl GpuSim {
         mut scratch: Option<&mut SpanScratch>,
     ) -> (KernelStats, u64) {
         let mut stats = KernelStats::default();
-        let mut l2 = new_l2(&self.device);
+        let l2 = renew(&mut self.l2, l2_geometry(&self.device));
         let mut simulated = 0u64;
-        for linear in (0..cfg.num_blocks()).filter(|&l| resolved.selects(l)) {
+        for linear in resolved.selected(cfg.num_blocks()) {
             simulated += 1;
             let snapshot = scratch.as_ref().map(|_| stats.clone());
             let mut collector = env.analyze.then(|| BlockCollector::new(linear));
@@ -1533,14 +1633,15 @@ impl GpuSim {
                 .faults
                 .map(|p| BlockFaults::new(&p, env.launch_seq, linear));
             let mut sym = env.phantom.map(|_| SymBlockCollector::for_block());
+            let (l1, shared) = self.on_chip.renew(&self.device, cfg.shared_words);
             let mut blk = BlockCtx {
                 res: Resources {
                     dev: &self.device,
                     glob: GlobalView::Direct(&mut self.mem),
-                    l1: new_l1(&self.device),
-                    l2: L2Sink::Inline(&mut l2),
+                    l1,
+                    l2: L2Sink::Inline(&mut *l2),
                     stats: &mut stats,
-                    shared: SharedMem::new(cfg.shared_words, self.device.smem_banks),
+                    shared,
                     analysis: collector.as_mut(),
                     faults: faults.as_mut(),
                     phantom: env.phantom,
@@ -1577,7 +1678,7 @@ impl GpuSim {
             }
         }
         let pre_flush = scratch.as_ref().map(|_| stats.clone());
-        flush_l2(&mut l2, &mut stats);
+        flush_l2(l2, &mut stats);
         if let Some(s) = scratch {
             s.flush = stats.delta_since(&pre_flush.expect("snapshot taken when recording"));
         }
@@ -1603,14 +1704,14 @@ impl GpuSim {
             .max(1);
         let batch_cap = threads * 8;
         let mut stats = KernelStats::default();
-        let mut l2 = new_l2(&self.device);
+        let l2 = renew(&mut self.l2, l2_geometry(&self.device));
         let mut simulated = 0u64;
         // Pre-size fresh store buffers for a block's fair share of the
         // allocated footprint (recycled buffers keep their earned size).
         let hint_words = self.mem.total_elems() / cfg.num_blocks().max(1) as usize;
         let mut pool = std::mem::take(&mut self.scratch_pool);
 
-        let mut selected = (0..cfg.num_blocks()).filter(|&l| resolved.selects(l));
+        let mut selected = resolved.selected(cfg.num_blocks());
         loop {
             let batch: Vec<u64> = selected.by_ref().take(batch_cap).collect();
             if batch.is_empty() {
@@ -1653,13 +1754,10 @@ impl GpuSim {
                 simulated += 1;
                 let snapshot = scratch.as_ref().map(|_| stats.clone());
                 stats += &outcome.stats;
-                replay_trace(&outcome.trace, &mut l2, &mut stats);
-                outcome.store.apply_and_clear(&mut self.mem);
-                outcome.trace.clear();
-                pool.push(BlockScratch {
-                    trace: outcome.trace,
-                    store: outcome.store,
-                });
+                replay_trace(&outcome.scratch.trace, l2, &mut stats);
+                outcome.scratch.store.apply_and_clear(&mut self.mem);
+                outcome.scratch.trace.clear();
+                pool.push(outcome.scratch);
                 if let Some(c) = outcome.collector {
                     self.analysis
                         .as_mut()
@@ -1685,7 +1783,7 @@ impl GpuSim {
         }
         self.scratch_pool = pool;
         let pre_flush = scratch.as_ref().map(|_| stats.clone());
-        flush_l2(&mut l2, &mut stats);
+        flush_l2(l2, &mut stats);
         if let Some(s) = scratch {
             s.flush = stats.delta_since(&pre_flush.expect("snapshot taken when recording"));
         }

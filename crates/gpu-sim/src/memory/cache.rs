@@ -44,22 +44,80 @@ pub enum Access {
     LineMiss,
 }
 
-#[derive(Debug, Clone)]
-struct Line {
-    tag: u64,
-    valid: u8,
-    dirty: u8,
-    stamp: u64,
+/// Everything a [`SectoredCache`] is built from. Two caches built from equal
+/// geometries behave identically, which is what lets a simulator keep a
+/// cache across launches and only [`SectoredCache::reset`] it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CacheGeometry {
+    /// Total capacity in bytes.
+    pub(crate) capacity_bytes: usize,
+    /// Associativity.
+    pub(crate) ways: usize,
+    /// Tag granularity in bytes (a power of two).
+    pub(crate) line_bytes: usize,
+    /// Fill granularity in bytes (a power of two, at most 8 per line).
+    pub(crate) sector_bytes: usize,
+    /// Allocation and write policy.
+    pub(crate) policy: CachePolicy,
+}
+
+impl CacheGeometry {
+    /// Whether the cache model can index this geometry: power-of-two line
+    /// and sector sizes (offsets are shifts), 1 to 8 sectors per line (a
+    /// line's sectors are a `u8` mask) and a capacity of whole sets of
+    /// `ways` lines.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let CacheGeometry {
+            capacity_bytes: bytes,
+            ways,
+            line_bytes: line,
+            sector_bytes: sector,
+            ..
+        } = *self;
+        if !(line.is_power_of_two() && sector.is_power_of_two()) {
+            return Err(format!(
+                "cache line ({line} B) and sector ({sector} B) sizes must be powers of two"
+            ));
+        }
+        if !(sector..=sector.saturating_mul(8)).contains(&line) {
+            return Err(format!(
+                "a {line} B line must hold 1 to 8 sectors of {sector} B"
+            ));
+        }
+        let whole_sets = ways
+            .checked_mul(line)
+            .is_some_and(|set| set > 0 && bytes >= set && bytes.is_multiple_of(set));
+        if !whole_sets {
+            return Err(format!(
+                "bad cache geometry: {bytes} B does not divide into \
+                 {ways}-way sets of {line} B lines"
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The cache model. Geometry is fixed at construction.
+///
+/// Tags, LRU stamps and valid/dirty sector masks live in flat arrays with
+/// `ways` slots per set; slot `set·ways + i` is occupied iff `i` is below
+/// the set's fill count. Lines fill a set's slots in order and an eviction
+/// overwrites the victim's slot, so nothing moves and resetting the cache
+/// only zeroes the fill counts.
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
-    sets: Vec<Vec<Line>>,
-    ways: usize,
-    line_bytes: u64,
-    sector_bytes: u64,
-    policy: CachePolicy,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    valid: Vec<u8>,
+    dirty: Vec<u8>,
+    fill: Vec<u32>,
+    geometry: CacheGeometry,
+    nsets: u64,
+    /// `nsets − 1` when the set count is a power of two (index by mask),
+    /// `None` otherwise (index by remainder).
+    set_mask: Option<u64>,
+    line_shift: u32,
+    sector_shift: u32,
     tick: u64,
     /// Dirty sectors evicted (write-back traffic to the next level).
     pub evicted_dirty_sectors: u64,
@@ -74,85 +132,136 @@ impl SectoredCache {
         sector_bytes: usize,
         policy: CachePolicy,
     ) -> Self {
-        assert!(line_bytes.is_multiple_of(sector_bytes) && sector_bytes > 0);
-        assert!(line_bytes / sector_bytes <= 8, "dirty/valid masks are u8");
-        let lines = capacity_bytes / line_bytes;
-        assert!(
-            lines >= ways && lines.is_multiple_of(ways),
-            "bad cache geometry"
-        );
-        let nsets = lines / ways;
-        SectoredCache {
-            sets: vec![Vec::with_capacity(ways); nsets],
+        SectoredCache::with_geometry(CacheGeometry {
+            capacity_bytes,
             ways,
-            line_bytes: line_bytes as u64,
-            sector_bytes: sector_bytes as u64,
+            line_bytes,
+            sector_bytes,
             policy,
+        })
+    }
+
+    /// Build a cache of the given geometry (see [`SectoredCache::new`]).
+    /// Panics with [`CacheGeometry::check`]'s message on a geometry the
+    /// model cannot index.
+    pub(crate) fn with_geometry(geometry: CacheGeometry) -> Self {
+        if let Err(msg) = geometry.check() {
+            panic!("{msg}");
+        }
+        let CacheGeometry {
+            capacity_bytes,
+            ways,
+            line_bytes,
+            sector_bytes,
+            ..
+        } = geometry;
+        let lines = capacity_bytes / line_bytes;
+        let nsets = (lines / ways) as u64;
+        SectoredCache {
+            tags: vec![0; lines],
+            stamps: vec![0; lines],
+            valid: vec![0; lines],
+            dirty: vec![0; lines],
+            fill: vec![0; nsets as usize],
+            geometry,
+            nsets,
+            set_mask: nsets.is_power_of_two().then(|| nsets - 1),
+            line_shift: line_bytes.trailing_zeros(),
+            sector_shift: sector_bytes.trailing_zeros(),
             tick: 0,
             evicted_dirty_sectors: 0,
         }
     }
 
-    fn set_index(&self, line_addr: u64) -> usize {
-        ((line_addr / self.line_bytes) % self.sets.len() as u64) as usize
+    /// The geometry this cache was built from.
+    pub(crate) fn geometry(&self) -> CacheGeometry {
+        self.geometry
     }
 
-    fn sector_bit(&self, sector_addr: u64) -> u8 {
-        let off = (sector_addr % self.line_bytes) / self.sector_bytes;
-        1u8 << off
+    /// Return to the state of a freshly built cache of the same geometry:
+    /// empty, LRU clock at zero, no write-backs counted. Costs one pass over
+    /// the per-set fill counts; the tag arrays are left as they are, since
+    /// slots past a set's fill count are never read.
+    pub fn reset(&mut self) {
+        self.fill.fill(0);
+        self.tick = 0;
+        self.evicted_dirty_sectors = 0;
+    }
+
+    fn set_index(&self, line_addr: u64) -> usize {
+        let line = line_addr >> self.line_shift;
+        match self.set_mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.nsets) as usize,
+        }
+    }
+
+    /// One access; returns its classification and the slot now holding the
+    /// sector's line, `None` when a write miss did not allocate.
+    fn access_slot(&mut self, sector_addr: u64, is_write: bool) -> (Access, Option<usize>) {
+        let line_mask = (1u64 << self.line_shift) - 1;
+        debug_assert_eq!(sector_addr & ((1u64 << self.sector_shift) - 1), 0);
+        self.tick += 1;
+        let tick = self.tick;
+        let line_addr = sector_addr & !line_mask;
+        let bit = 1u8 << ((sector_addr & line_mask) >> self.sector_shift);
+        let ways = self.geometry.ways;
+        let set = self.set_index(line_addr);
+        let base = set * ways;
+        let filled = self.fill[set] as usize;
+        let CachePolicy {
+            allocate_on_write,
+            write_back,
+        } = self.geometry.policy;
+
+        // Tags are unique within a set, so the first match is the line.
+        if let Some(i) = self.tags[base..base + filled]
+            .iter()
+            .position(|&t| t == line_addr)
+        {
+            let slot = base + i;
+            self.stamps[slot] = tick;
+            if is_write && write_back {
+                self.dirty[slot] |= bit;
+            }
+            let access = if self.valid[slot] & bit != 0 {
+                Access::Hit
+            } else {
+                self.valid[slot] |= bit;
+                Access::SectorMiss
+            };
+            return (access, Some(slot));
+        }
+
+        // Line miss.
+        if is_write && !allocate_on_write {
+            return (Access::LineMiss, None);
+        }
+        let slot = if filled == ways {
+            // Evict the LRU line in place. Stamps are distinct ticks, so the
+            // minimum names one line whatever the slot order.
+            let stamps = &self.stamps[base..base + ways];
+            let lru = (0..ways)
+                .min_by_key(|&i| stamps[i])
+                .expect("a full set has ways >= 1 lines");
+            let victim = base + lru;
+            self.evicted_dirty_sectors += self.dirty[victim].count_ones() as u64;
+            victim
+        } else {
+            self.fill[set] += 1;
+            base + filled
+        };
+        self.tags[slot] = line_addr;
+        self.valid[slot] = bit;
+        self.dirty[slot] = if is_write && write_back { bit } else { 0 };
+        self.stamps[slot] = tick;
+        (Access::LineMiss, Some(slot))
     }
 
     /// Access one sector (its 32-byte-aligned base address). Returns the
     /// hit/miss classification; the cache state is updated accordingly.
     pub fn access(&mut self, sector_addr: u64, is_write: bool) -> Access {
-        debug_assert_eq!(sector_addr % self.sector_bytes, 0);
-        self.tick += 1;
-        let tick = self.tick;
-        let line_addr = sector_addr & !(self.line_bytes - 1);
-        let bit = self.sector_bit(sector_addr);
-        let ways = self.ways;
-        let set_idx = self.set_index(line_addr);
-        let write_back = self.policy.write_back;
-        let allocate_on_write = self.policy.allocate_on_write;
-        let set = &mut self.sets[set_idx];
-
-        if let Some(line) = set.iter_mut().find(|l| l.tag == line_addr) {
-            line.stamp = tick;
-            if is_write && write_back {
-                line.dirty |= bit;
-            }
-            return if line.valid & bit != 0 {
-                if is_write {
-                    line.valid |= bit;
-                }
-                Access::Hit
-            } else {
-                line.valid |= bit;
-                Access::SectorMiss
-            };
-        }
-
-        // Line miss.
-        if is_write && !allocate_on_write {
-            return Access::LineMiss;
-        }
-        if set.len() == ways {
-            // Evict LRU.
-            let (lru, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.stamp)
-                .expect("non-empty set");
-            let victim = set.swap_remove(lru);
-            self.evicted_dirty_sectors += victim.dirty.count_ones() as u64;
-        }
-        set.push(Line {
-            tag: line_addr,
-            valid: bit,
-            dirty: if is_write && write_back { bit } else { 0 },
-            stamp: tick,
-        });
-        Access::LineMiss
+        self.access_slot(sector_addr, is_write).0
     }
 
     /// Access the same sector `n` times in a row, equivalent to calling
@@ -166,20 +275,14 @@ impl SectoredCache {
     /// no-write-allocate a write run that misses stays missing, so the
     /// remaining events replay individually.
     pub fn access_run(&mut self, sector_addr: u64, is_write: bool, n: u64) -> Access {
-        let first = self.access(sector_addr, is_write);
+        let (first, slot) = self.access_slot(sector_addr, is_write);
         if n <= 1 {
             return first;
         }
-        let line_addr = sector_addr & !(self.line_bytes - 1);
-        let bit = self.sector_bit(sector_addr);
-        let set_idx = self.set_index(line_addr);
-        let resident = self.sets[set_idx]
-            .iter()
-            .position(|l| l.tag == line_addr && l.valid & bit != 0);
-        match resident {
-            Some(pos) => {
+        match slot {
+            Some(slot) => {
                 self.tick += n - 1;
-                self.sets[set_idx][pos].stamp = self.tick;
+                self.stamps[slot] = self.tick;
             }
             None => {
                 // Only reachable for write runs under no-write-allocate
@@ -192,22 +295,30 @@ impl SectoredCache {
         first
     }
 
+    /// Slots currently holding a line.
+    fn occupied(&self) -> impl Iterator<Item = usize> + '_ {
+        let ways = self.geometry.ways;
+        self.fill
+            .iter()
+            .enumerate()
+            .flat_map(move |(set, &n)| set * ways..set * ways + n as usize)
+    }
+
     /// Flush every dirty sector, accumulating into
     /// [`SectoredCache::evicted_dirty_sectors`], and invalidate the cache.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set.drain(..) {
-                self.evicted_dirty_sectors += line.dirty.count_ones() as u64;
-            }
-        }
+        let dirty: u64 = self
+            .occupied()
+            .map(|slot| self.dirty[slot].count_ones() as u64)
+            .sum();
+        self.evicted_dirty_sectors += dirty;
+        self.fill.fill(0);
     }
 
     /// Number of currently valid sectors (test introspection).
     pub fn resident_sectors(&self) -> u64 {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .map(|l| l.valid.count_ones() as u64)
+        self.occupied()
+            .map(|slot| self.valid[slot].count_ones() as u64)
             .sum()
     }
 }
@@ -297,6 +408,41 @@ mod tests {
     #[should_panic(expected = "bad cache geometry")]
     fn rejects_impossible_geometry() {
         SectoredCache::new(100, 3, 128, 32, CachePolicy::l1());
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn rejects_non_power_of_two_lines() {
+        SectoredCache::new(4 * 96, 2, 96, 48, CachePolicy::l1());
+    }
+
+    #[test]
+    #[should_panic(expected = "bad cache geometry")]
+    fn rejects_capacity_of_partial_lines() {
+        // 16½ lines: a launch rejects this L1, so the constructor must too.
+        SectoredCache::new(2 * 1024 + 64, 2, 128, 32, CachePolicy::l1());
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 8 sectors")]
+    fn rejects_more_than_eight_sectors_per_line() {
+        SectoredCache::new(1024, 2, 512, 32, CachePolicy::l1());
+    }
+
+    #[test]
+    fn reset_forgets_lines_clock_and_write_backs() {
+        let mut c = l2_1kib();
+        let stride = 4 * 128;
+        for i in 0..6 {
+            c.access(i * stride, true);
+        }
+        assert!(c.evicted_dirty_sectors > 0);
+        c.reset();
+        assert_eq!(
+            (c.tick, c.evicted_dirty_sectors, c.resident_sectors()),
+            (0, 0, 0)
+        );
+        assert_eq!(c.access(0, false), Access::LineMiss);
     }
 
     #[test]

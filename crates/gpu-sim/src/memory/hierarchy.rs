@@ -16,7 +16,7 @@
 //! [`replay_trace`] later drives the real L2 with the identical ordered
 //! stream the sequential engine ([`L2Sink::Inline`]) would have produced.
 
-use super::cache::{Access, CachePolicy, SectoredCache};
+use super::cache::{Access, CacheGeometry, CachePolicy, SectoredCache};
 use super::coalescer::{coalesce_into, SectorBuf};
 use crate::device::DeviceConfig;
 use crate::faults::{BlockFaults, SectorFate};
@@ -45,26 +45,53 @@ pub enum L2Sink<'a> {
     Deferred(&'a mut BlockTrace),
 }
 
+/// The geometry of one block's (SM's) L1 on `dev`.
+pub(crate) fn l1_geometry(dev: &DeviceConfig) -> CacheGeometry {
+    CacheGeometry {
+        capacity_bytes: dev.l1_bytes,
+        ways: dev.l1_ways,
+        line_bytes: dev.line_bytes,
+        sector_bytes: dev.sector_bytes,
+        policy: CachePolicy::l1(),
+    }
+}
+
+/// The geometry of the launch-wide L2 on `dev`.
+pub(crate) fn l2_geometry(dev: &DeviceConfig) -> CacheGeometry {
+    CacheGeometry {
+        capacity_bytes: dev.l2_bytes,
+        ways: dev.l2_ways,
+        line_bytes: dev.line_bytes,
+        sector_bytes: dev.sector_bytes,
+        policy: CachePolicy::l2(),
+    }
+}
+
 /// Build a fresh L1 for one block/SM.
 pub fn new_l1(dev: &DeviceConfig) -> SectoredCache {
-    SectoredCache::new(
-        dev.l1_bytes,
-        dev.l1_ways,
-        dev.line_bytes,
-        dev.sector_bytes,
-        CachePolicy::l1(),
-    )
+    SectoredCache::with_geometry(l1_geometry(dev))
 }
 
 /// Build the launch-wide L2.
 pub fn new_l2(dev: &DeviceConfig) -> SectoredCache {
-    SectoredCache::new(
-        dev.l2_bytes,
-        dev.l2_ways,
-        dev.line_bytes,
-        dev.sector_bytes,
-        CachePolicy::l2(),
-    )
+    SectoredCache::with_geometry(l2_geometry(dev))
+}
+
+/// The cache kept in `slot`, made equal to a freshly built cache of
+/// `geometry`: reset in place when it was built from that geometry, built
+/// anew when the slot is empty or the geometry changed (a simulator's
+/// `device` may be swapped between launches).
+pub(crate) fn renew(
+    slot: &mut Option<SectoredCache>,
+    geometry: CacheGeometry,
+) -> &mut SectoredCache {
+    let cache = slot.get_or_insert_with(|| SectoredCache::with_geometry(geometry));
+    if cache.geometry() == geometry {
+        cache.reset();
+    } else {
+        *cache = SectoredCache::with_geometry(geometry);
+    }
+    cache
 }
 
 /// Route one warp-level memory access through the coalescer and the L1.

@@ -6,7 +6,28 @@
 //! otherwise the access is replayed once per additional word mapped to the
 //! most-contended bank.
 
-use crate::lane::{LaneMask, VF, VU, WARP};
+use crate::lane::{LaneMask, LaneVec, VF, VU, WARP};
+
+/// Call `f` on each active lane of `mask`, ascending: a plain loop over
+/// all 32 lanes when every lane is active (how kernels issue nearly every
+/// shared access), the mask's set bits otherwise.
+#[inline]
+fn for_each_active(mask: LaneMask, f: impl FnMut(usize)) {
+    if mask.is_full() {
+        (0..WARP).for_each(f);
+    } else {
+        mask.lanes().for_each(f);
+    }
+}
+
+/// One bit per bank the active lanes of `mask` touch, where `bank` maps a
+/// word to its bank (below 64). Branch-free over all 32 lanes.
+#[inline]
+fn bank_bitmap(idx: &VU, mask: LaneMask, bank: impl Fn(u32) -> usize) -> u64 {
+    (0..WARP).fold(0, |acc, l| {
+        acc | (((mask.0 >> l) & 1) as u64) << bank(idx.lane(l))
+    })
+}
 
 /// A block's shared-memory arena (f32 words).
 #[derive(Debug)]
@@ -24,9 +45,29 @@ impl SharedMem {
         }
     }
 
+    /// Make this arena equal to `SharedMem::new(words, banks)` — every word
+    /// zero, as a fresh block sees it — reusing its allocation.
+    pub(crate) fn reset(&mut self, words: usize, banks: usize) {
+        self.data.clear();
+        self.data.resize(words, 0.0);
+        self.banks = banks;
+    }
+
     /// Capacity in words.
     pub fn words(&self) -> usize {
         self.data.len()
+    }
+
+    /// The bank holding `word`: a mask for a power-of-two bank count, the
+    /// same remainder otherwise.
+    #[inline]
+    fn bank(&self, word: u32) -> usize {
+        let w = word as usize;
+        if self.banks.is_power_of_two() {
+            w & (self.banks - 1)
+        } else {
+            w % self.banks
+        }
     }
 
     /// Debug check that the pass count is insensitive to inactive-lane
@@ -56,32 +97,42 @@ impl SharedMem {
         if mask.is_empty() {
             return 0;
         }
-        // One sweep gathers each active lane's `bank << 32 | word` key and
-        // checks the two one-pass shapes: all lanes on one word (broadcast),
-        // or every lane in its own bank (tracked while banks fit a u64).
+        // The two one-pass shapes are checked first, each by a branch-free
+        // sweep over all 32 lanes that masks out inactive ones: all active
+        // lanes on one word (broadcast), or every active lane in its own
+        // bank — one bit per lane in a bank bitmap while the banks fit a
+        // u64, so the banks are distinct exactly when the bitmap has one
+        // bit per active lane.
         let first = idx.lane(mask.0.trailing_zeros() as usize);
-        let mut one_word = true;
-        let mut distinct_banks = self.banks <= 64;
-        let mut seen_banks = 0u64;
+        let active = |lane: usize| (mask.0 >> lane) & 1;
+        let spread = (0..WARP).fold(0, |acc, l| {
+            acc | (idx.lane(l) ^ first) & active(l).wrapping_neg()
+        });
+        if spread == 0 {
+            return 1;
+        }
+        if self.banks <= 64 {
+            let seen = if self.banks.is_power_of_two() {
+                let m = self.banks - 1;
+                bank_bitmap(idx, mask, |w| w as usize & m)
+            } else {
+                bank_bitmap(idx, mask, |w| w as usize % self.banks)
+            };
+            if seen.count_ones() == mask.count() {
+                return 1;
+            }
+        }
+        // Sorted `bank << 32 | word` keys put each bank's words side by
+        // side; the pass count is the most distinct words in one bank
+        // (equal words broadcast). A bank index never exceeds its word, so
+        // it fits in 32 bits.
         let mut keys = [0u64; WARP];
         let mut n = 0;
         for lane in mask.lanes() {
             let w = idx.lane(lane);
-            // A bank index never exceeds its word, so it fits in 32 bits.
-            let bank = (w as usize % self.banks) as u64;
-            one_word &= w == first;
-            if distinct_banks {
-                distinct_banks = seen_banks & (1 << bank) == 0;
-                seen_banks |= 1 << bank;
-            }
-            keys[n] = bank << 32 | w as u64;
+            keys[n] = (self.bank(w) as u64) << 32 | w as u64;
             n += 1;
         }
-        if one_word || distinct_banks {
-            return 1;
-        }
-        // Sorted keys put each bank's words side by side; the pass count is
-        // the most distinct words in one bank (equal words broadcast).
         let keys = &mut keys[..n];
         keys.sort_unstable();
         let (mut run, mut most) = (1, 1);
@@ -105,20 +156,14 @@ impl SharedMem {
         let passes = self.passes(idx, mask);
         #[cfg(debug_assertions)]
         self.assert_inactive_lanes_ignored(idx, mask, passes);
-        let v = VF::from_fn(|l| {
-            if mask.get(l) {
-                let i = idx.lane(l) as usize;
-                assert!(
-                    i < self.data.len(),
-                    "shared load OOB: {i} >= {}",
-                    self.data.len()
-                );
-                self.data[i]
-            } else {
-                0.0
-            }
+        let data = self.data.as_slice();
+        let mut out = [0.0; WARP];
+        for_each_active(mask, |lane| {
+            let i = idx.lane(lane) as usize;
+            assert!(i < data.len(), "shared load OOB: {i} >= {}", data.len());
+            out[lane] = data[i];
         });
-        (v, passes)
+        (LaneVec(out), passes)
     }
 
     /// Vectorized warp load (`LDS.128`): each active lane reads `K`
@@ -133,6 +178,29 @@ impl SharedMem {
         );
         if mask.is_empty() {
             return ([VF::splat(0.0); K], 0);
+        }
+        let first = idx.lane(0);
+        if *idx == VU::splat(first) {
+            // Warp-uniform index (how GEMM kernels read their A operand):
+            // one segment, so one pass, and every active lane reads the
+            // same K words — the checks of the general path, made once.
+            assert!(
+                (first as usize).is_multiple_of(K),
+                "vector smem access must be aligned"
+            );
+            let i = first as usize;
+            let Some(words) = self.data.get(i..i + K) else {
+                panic!("shared vec load OOB")
+            };
+            let mut out = [VF::splat(0.0); K];
+            for (o, &w) in out.iter_mut().zip(words) {
+                *o = VF::splat(w);
+            }
+            if !mask.is_full() {
+                let zero = VF::splat(0.0);
+                out = out.map(|v| v.select(mask, &zero));
+            }
+            return (out, 1);
         }
         // Distinct 4-word segments per bank-group decide the pass count;
         // a K-word access must be K-word aligned (as on hardware).
@@ -284,6 +352,23 @@ mod tests {
         let (vd, pd) = s.load(&dirty, mask);
         assert_eq!((vc, pc), (vd, pd));
         assert_eq!(s.store(&clean, &VF::splat(1.0), mask), pc);
+    }
+
+    #[test]
+    #[should_panic(expected = "shared vec load OOB")]
+    fn uniform_vec_load_past_the_arena_panics() {
+        // The warp-uniform path checks bounds once, with the same message.
+        let _ = smem(16).load_vec::<4>(&VU::splat(16), LaneMask::ALL);
+    }
+
+    #[test]
+    fn reset_arena_reads_zeros_at_its_new_size() {
+        let mut s = smem(8);
+        s.store(&VU::lane_id(), &VF::splat(2.0), LaneMask::first(8));
+        s.reset(16, 32);
+        assert_eq!(s.words(), 16);
+        let idx = VU::from_fn(|l| l as u32 % 16);
+        assert_eq!(s.load(&idx, LaneMask::ALL).0, VF::splat(0.0));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! reductions — the corners the kernel suites rely on implicitly.
 
 use memconv_gpusim::lane::{LaneMask, VF, VU};
-use memconv_gpusim::{DeviceConfig, GpuSim, LaunchConfig, PrivArray, SampleMode};
+use memconv_gpusim::{
+    DeviceConfig, GpuSim, LaunchConfig, LaunchError, LaunchMode, PrivArray, SampleMode,
+};
 
 #[test]
 fn sld_vec_broadcast_is_one_pass_and_correct() {
@@ -144,4 +146,39 @@ fn grid_z_blocks_receive_distinct_local_memory() {
         });
     });
     assert_eq!(sim.mem.download(out), &[0.0, 1.0, 2.0, 3.0]);
+}
+
+#[test]
+fn huge_sampled_grid_simulates_only_its_sample() {
+    // 2^38 blocks: the Auto skip exceeds a u32 and saturates, and the
+    // launch walks only the two selected 64-block chunks. The kernel avoids
+    // `global_tid_x`, whose u32 arithmetic would overflow on this grid.
+    for mode in [LaunchMode::Sequential, LaunchMode::Parallel] {
+        let mut sim = GpuSim::new(DeviceConfig::test_tiny()).with_launch_mode(mode);
+        let buf = sim.mem.upload(&[1.0f32; 32]);
+        let cfg = LaunchConfig::grid3d(1 << 31, 128, 1, 32).with_sample(SampleMode::Auto(64));
+        let stats = sim
+            .try_launch(&cfg, |blk| {
+                blk.each_warp(|w| {
+                    let _ = w.gld(buf, &w.lane_id(), LaneMask::ALL);
+                });
+            })
+            .expect("a valid launch");
+        assert_eq!(stats.sim_blocks, 128, "{mode:?}");
+        assert_eq!(stats.threads, 32 << 38, "{mode:?}");
+        assert_eq!(stats.gld_requests, 1 << 38, "{mode:?}: extrapolated");
+    }
+}
+
+#[test]
+fn grids_whose_thread_count_overflows_are_invalid() {
+    let mut sim = GpuSim::new(DeviceConfig::test_tiny());
+    for grid in [(u32::MAX, u32::MAX, u32::MAX), (u32::MAX, u32::MAX, 2)] {
+        let (gx, gy, gz) = grid;
+        let cfg = LaunchConfig::grid3d(gx, gy, gz, 1024);
+        match sim.try_launch(&cfg, |_| {}) {
+            Err(LaunchError::InvalidConfig(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("{grid:?}: expected InvalidConfig, got {other:?}"),
+        }
+    }
 }

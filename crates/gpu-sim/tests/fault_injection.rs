@@ -238,6 +238,91 @@ fn invalid_configs_are_typed_not_panics() {
     }
 }
 
+/// Launch a one-block kernel on `dev` through both entry points of both
+/// engines. `try_launch` must return `InvalidConfig` before any block runs,
+/// and `launch` must panic with the same message; returns that message.
+fn rejected_device_message(dev: &DeviceConfig) -> String {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let mut messages = Vec::new();
+    for mode in [LaunchMode::Sequential, LaunchMode::Parallel] {
+        let ran = AtomicBool::new(false);
+        let kernel = |_: &mut memconv_gpusim::BlockCtx<'_>| ran.store(true, Ordering::Relaxed);
+        let cfg = LaunchConfig::linear(1, 32).with_shared(32);
+        let mut sim = GpuSim::new(dev.clone()).with_launch_mode(mode);
+        let msg = match sim.try_launch(&cfg, kernel) {
+            Err(LaunchError::InvalidConfig(msg)) => msg,
+            other => panic!("{mode:?}: expected InvalidConfig, got {other:?}"),
+        };
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.launch(&cfg, kernel);
+        }))
+        .expect_err("launch must reject the device too");
+        let panicked = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert_eq!(panicked, &msg, "{mode:?}: launch and try_launch disagree");
+        assert!(!ran.load(Ordering::Relaxed), "{mode:?}: a block ran");
+        messages.push(msg);
+    }
+    assert_eq!(messages[0], messages[1], "engines disagree");
+    messages.remove(0)
+}
+
+#[test]
+fn non_power_of_two_sector_or_line_is_rejected() {
+    let mut dev = DeviceConfig::test_tiny();
+    (dev.sector_bytes, dev.line_bytes) = (48, 96);
+    assert!(rejected_device_message(&dev).contains("powers of two"));
+    let mut dev = DeviceConfig::test_tiny();
+    dev.line_bytes = 96;
+    assert!(rejected_device_message(&dev).contains("powers of two"));
+}
+
+#[test]
+fn sectors_finer_than_the_trace_unit_are_rejected() {
+    let mut dev = DeviceConfig::test_tiny();
+    dev.sector_bytes = 16;
+    assert!(rejected_device_message(&dev).contains("32 B units"));
+}
+
+#[test]
+fn more_than_eight_sectors_per_line_is_rejected() {
+    let mut dev = DeviceConfig::test_tiny();
+    dev.line_bytes = 512;
+    assert!(rejected_device_message(&dev).contains("1 to 8 sectors"));
+    let mut dev = DeviceConfig::test_tiny();
+    dev.sector_bytes = 256;
+    assert!(rejected_device_message(&dev).contains("1 to 8 sectors"));
+}
+
+#[test]
+fn caches_that_are_not_whole_sets_are_rejected() {
+    let mut dev = DeviceConfig::test_tiny();
+    dev.l2_ways = 3;
+    let msg = rejected_device_message(&dev);
+    assert!(
+        msg.contains("bad cache geometry") && msg.contains("L2"),
+        "{msg}"
+    );
+    let mut dev = DeviceConfig::test_tiny();
+    dev.l1_bytes = 2 * 1024 + 64;
+    let msg = rejected_device_message(&dev);
+    assert!(
+        msg.contains("bad cache geometry") && msg.contains("L1"),
+        "{msg}"
+    );
+    let mut dev = DeviceConfig::test_tiny();
+    dev.l1_ways = 0;
+    assert!(rejected_device_message(&dev).contains("bad cache geometry"));
+}
+
+#[test]
+fn zero_shared_memory_banks_are_rejected() {
+    let mut dev = DeviceConfig::test_tiny();
+    dev.smem_banks = 0;
+    assert!(rejected_device_message(&dev).contains("no shared-memory banks"));
+}
+
 #[test]
 fn out_of_bounds_accesses_are_classified_in_both_modes() {
     for mode in [LaunchMode::Sequential, LaunchMode::Parallel] {

@@ -65,6 +65,21 @@ fn run_via(
     if let Launcher::Fallible(plan) = launcher {
         sim.set_fault_plan(plan);
     }
+    let (stats, mem) = launch_spec(&mut sim, spec, launcher, &[]);
+    (stats, mem, sim.take_fault_log())
+}
+
+/// Launch the spec's kernel on `sim`, allocating its buffers first, and
+/// return the counters plus the three output buffers. Each device in
+/// `then` is swapped in after a launch and the launch repeated on the same
+/// buffers, outputs zeroed; the counters and outputs of the last launch
+/// are returned.
+fn launch_spec(
+    sim: &mut GpuSim,
+    spec: &Spec,
+    launcher: Launcher,
+    then: &[DeviceConfig],
+) -> (KernelStats, Vec<f32>) {
     let n = spec.blocks * spec.tpb;
     let data: Vec<f32> = (0..n).map(|i| ((i * 7919) % 83) as f32 * 0.5).collect();
     let bi = sim.mem.upload(&data);
@@ -123,17 +138,50 @@ fn run_via(
             });
         }
     };
-    let stats = match launcher {
+    let launch = |sim: &mut GpuSim| match launcher {
         Launcher::Plain => sim.launch(&cfg, kernel),
         Launcher::Fallible(_) => sim
             .try_launch(&cfg, kernel)
             .expect("no armed fault class can fail this launch"),
     };
+    let mut stats = launch(sim);
+    for dev in then {
+        sim.device = dev.clone();
+        for buf in [bo, bo2, bc] {
+            sim.mem.zero(buf);
+        }
+        stats = launch(sim);
+    }
 
     let mut mem = sim.mem.download(bo).to_vec();
     mem.extend_from_slice(sim.mem.download(bo2));
     mem.extend_from_slice(sim.mem.download(bc));
-    (stats, mem, sim.take_fault_log())
+    (stats, mem)
+}
+
+/// Device variants for the swap test: the tiny device, and ones differing
+/// from it in L1 and L2 geometry (non-power-of-two set counts included),
+/// line size, and bank count.
+fn device_variant(pick: u8) -> DeviceConfig {
+    let mut dev = DeviceConfig::test_tiny();
+    match pick % 4 {
+        0 => {}
+        1 => {
+            (dev.l1_bytes, dev.l1_ways) = (512, 1);
+            (dev.l2_bytes, dev.l2_ways) = (3 * 1024, 2);
+            dev.smem_banks = 16;
+        }
+        2 => {
+            (dev.l1_bytes, dev.l1_ways) = (3 * 1024, 4);
+            (dev.l2_bytes, dev.l2_ways) = (24 * 1024, 4);
+            dev.smem_banks = 48;
+        }
+        _ => {
+            dev.line_bytes = 64;
+            (dev.l1_bytes, dev.l1_ways) = (1024, 2);
+        }
+    }
+    dev
 }
 
 /// Two consecutive launches on **one** simulator. In the parallel engine
@@ -364,6 +412,45 @@ proptest! {
             .flat_map(|(s, w, n)| std::iter::repeat_n((s, w), n as usize))
             .collect();
         prop_assert_eq!(&expanded, &events);
+    }
+
+    /// Swapping `device` between two launches on one simulator is
+    /// invisible: the second launch's counters and outputs equal a fresh
+    /// simulator's on the new device, on both engines — the kept L2 and
+    /// the pooled L1s and shared arenas are rebuilt for the new geometry,
+    /// and reset (not carried over) when it is unchanged.
+    #[test]
+    fn device_swap_between_launches_matches_fresh_simulators(
+        blocks in 1u32..10,
+        tpb_sel in 0u8..2,
+        stride in 1u32..9,
+        off in 0u32..70,
+        use_shared in any::<bool>(),
+        sample in 0u8..4,
+        first in 0u8..4,
+        second in 0u8..4,
+        threads in 1usize..4,
+    ) {
+        let spec = Spec {
+            blocks,
+            tpb: if tpb_sel == 0 { 32 } else { 64 },
+            stride,
+            off,
+            use_shared,
+            use_local: true,
+            sample,
+        };
+        let (dev_a, dev_b) = (device_variant(first), device_variant(second));
+        for mode in [LaunchMode::Sequential, LaunchMode::Parallel] {
+            let fresh = |dev: &DeviceConfig| {
+                let mut sim = GpuSim::new(dev.clone()).with_launch_mode(mode);
+                sim.set_parallel_threads(Some(threads));
+                sim
+            };
+            let want = launch_spec(&mut fresh(&dev_b), &spec, Launcher::Plain, &[]);
+            let got = launch_spec(&mut fresh(&dev_a), &spec, Launcher::Plain, std::slice::from_ref(&dev_b));
+            prop_assert_eq!(&got, &want, "{:?}", mode);
+        }
     }
 
     /// Scratch reuse is invisible: a parallel simulator running two

@@ -6,6 +6,7 @@ use memconv_gpusim::memory::cache::{Access, CachePolicy, SectoredCache};
 use memconv_gpusim::memory::coalescer::{coalesce, coalesce_into};
 use memconv_gpusim::memory::SharedMem;
 use memconv_gpusim::shuffle;
+use memconv_gpusim::SampleMode;
 use proptest::prelude::*;
 
 // ---- reference algorithms -------------------------------------------------
@@ -117,6 +118,327 @@ fn shfl_idx_oracle<T: Copy>(v: &LaneVec<T>, idx: &VU, width: usize) -> LaneVec<T
     LaneVec::from_fn(|i| {
         let seg = i / width * width;
         v.lane(seg + (idx.lane(i) as usize % width))
+    })
+}
+
+// ---- the memory model before its flat caches and shared fast paths -------
+//
+// Kept as oracles: the cache with one growing `Vec` of lines per set, the
+// bank model that builds and sorts keys unless its single sweep finds a
+// one-pass shape, the vector load that sorts segment ids and gathers lane
+// by lane, and the block walk that tests every block id.
+
+#[derive(Debug, Clone)]
+struct OracleLine {
+    tag: u64,
+    valid: u8,
+    dirty: u8,
+    stamp: u64,
+}
+
+/// The sectored cache as a `Vec<Vec<Line>>`: LRU eviction by
+/// `swap_remove` + `push`, set index and sector bit by division.
+#[derive(Debug, Clone)]
+struct OracleCache {
+    sets: Vec<Vec<OracleLine>>,
+    ways: usize,
+    line_bytes: u64,
+    sector_bytes: u64,
+    policy: CachePolicy,
+    tick: u64,
+    evicted_dirty_sectors: u64,
+}
+
+impl OracleCache {
+    fn new(capacity: usize, ways: usize, line: usize, sector: usize, policy: CachePolicy) -> Self {
+        let nsets = capacity / line / ways;
+        OracleCache {
+            sets: vec![Vec::with_capacity(ways); nsets],
+            ways,
+            line_bytes: line as u64,
+            sector_bytes: sector as u64,
+            policy,
+            tick: 0,
+            evicted_dirty_sectors: 0,
+        }
+    }
+
+    fn set_index(&self, line_addr: u64) -> usize {
+        ((line_addr / self.line_bytes) % self.sets.len() as u64) as usize
+    }
+
+    fn sector_bit(&self, sector_addr: u64) -> u8 {
+        1u8 << ((sector_addr % self.line_bytes) / self.sector_bytes)
+    }
+
+    fn access(&mut self, sector_addr: u64, is_write: bool) -> Access {
+        self.tick += 1;
+        let tick = self.tick;
+        let line_addr = sector_addr & !(self.line_bytes - 1);
+        let bit = self.sector_bit(sector_addr);
+        let ways = self.ways;
+        let set_idx = self.set_index(line_addr);
+        let CachePolicy {
+            allocate_on_write,
+            write_back,
+        } = self.policy;
+        let set = &mut self.sets[set_idx];
+        if let Some(line) = set.iter_mut().find(|l| l.tag == line_addr) {
+            line.stamp = tick;
+            if is_write && write_back {
+                line.dirty |= bit;
+            }
+            return if line.valid & bit != 0 {
+                if is_write {
+                    line.valid |= bit;
+                }
+                Access::Hit
+            } else {
+                line.valid |= bit;
+                Access::SectorMiss
+            };
+        }
+        if is_write && !allocate_on_write {
+            return Access::LineMiss;
+        }
+        if set.len() == ways {
+            let (lru, _) = set.iter().enumerate().min_by_key(|(_, l)| l.stamp).unwrap();
+            let victim = set.swap_remove(lru);
+            self.evicted_dirty_sectors += victim.dirty.count_ones() as u64;
+        }
+        set.push(OracleLine {
+            tag: line_addr,
+            valid: bit,
+            dirty: if is_write && write_back { bit } else { 0 },
+            stamp: tick,
+        });
+        Access::LineMiss
+    }
+
+    fn access_run(&mut self, sector_addr: u64, is_write: bool, n: u64) -> Access {
+        let first = self.access(sector_addr, is_write);
+        if n <= 1 {
+            return first;
+        }
+        let line_addr = sector_addr & !(self.line_bytes - 1);
+        let bit = self.sector_bit(sector_addr);
+        let set_idx = self.set_index(line_addr);
+        let resident = self.sets[set_idx]
+            .iter()
+            .position(|l| l.tag == line_addr && l.valid & bit != 0);
+        match resident {
+            Some(pos) => {
+                self.tick += n - 1;
+                self.sets[set_idx][pos].stamp = self.tick;
+            }
+            None => {
+                for _ in 1..n {
+                    self.access(sector_addr, is_write);
+                }
+            }
+        }
+        first
+    }
+
+    fn flush(&mut self) {
+        for set in &mut self.sets {
+            for line in set.drain(..) {
+                self.evicted_dirty_sectors += line.dirty.count_ones() as u64;
+            }
+        }
+    }
+
+    fn resident_sectors(&self) -> u64 {
+        self.sets
+            .iter()
+            .flat_map(|s| s.iter())
+            .map(|l| l.valid.count_ones() as u64)
+            .sum()
+    }
+}
+
+/// The bank model with one sweep gathering `bank << 32 | word` keys by a
+/// runtime remainder and a sort whenever no one-pass shape is found.
+fn keyed_passes_oracle(idx: &VU, mask: LaneMask, banks: usize) -> u64 {
+    if mask.is_empty() {
+        return 0;
+    }
+    let first = idx.lane(mask.0.trailing_zeros() as usize);
+    let mut one_word = true;
+    let mut distinct_banks = banks <= 64;
+    let mut seen_banks = 0u64;
+    let mut keys = [0u64; WARP];
+    let mut n = 0;
+    for lane in active(mask) {
+        let w = idx.lane(lane);
+        let bank = (w as usize % banks) as u64;
+        one_word &= w == first;
+        if distinct_banks {
+            distinct_banks = seen_banks & (1 << bank) == 0;
+            seen_banks |= 1 << bank;
+        }
+        keys[n] = bank << 32 | w as u64;
+        n += 1;
+    }
+    if one_word || distinct_banks {
+        return 1;
+    }
+    let keys = &mut keys[..n];
+    keys.sort_unstable();
+    let (mut run, mut most) = (1, 1);
+    for pair in keys.windows(2) {
+        if pair[1] == pair[0] {
+            continue;
+        }
+        if pair[1] >> 32 == pair[0] >> 32 {
+            run += 1;
+            most = most.max(run);
+        } else {
+            run = 1;
+        }
+    }
+    most
+}
+
+/// The scalar load gathering lane by lane with a per-lane bounds assert.
+fn load_oracle(data: &[f32], idx: &VU, mask: LaneMask) -> VF {
+    VF::from_fn(|l| {
+        if mask.get(l) {
+            let i = idx.lane(l) as usize;
+            assert!(i < data.len(), "shared load OOB: {i} >= {}", data.len());
+            data[i]
+        } else {
+            0.0
+        }
+    })
+}
+
+/// The vector load: sorted segment ids for the pass count, then `K`
+/// lane-by-lane gathers with a bounds assert per word.
+fn load_vec_oracle<const K: usize>(data: &[f32], idx: &VU, mask: LaneMask) -> ([VF; K], u64) {
+    if mask.is_empty() {
+        return ([VF::splat(0.0); K], 0);
+    }
+    let mut segs = [0u32; WARP];
+    let mut n = 0;
+    for lane in active(mask) {
+        let base = idx.lane(lane);
+        assert!(
+            (base as usize).is_multiple_of(K),
+            "vector smem access must be aligned"
+        );
+        segs[n] = base / 4;
+        n += 1;
+    }
+    let segs = &mut segs[..n];
+    segs.sort_unstable();
+    let distinct = 1 + segs.windows(2).filter(|p| p[0] != p[1]).count();
+    let passes = (distinct as u64).div_ceil(8);
+    let out = std::array::from_fn(|k| {
+        VF::from_fn(|l| {
+            if mask.get(l) {
+                let i = idx.lane(l) as usize + k;
+                assert!(i < data.len(), "shared vec load OOB");
+                data[i]
+            } else {
+                0.0
+            }
+        })
+    });
+    (out, passes)
+}
+
+/// The block walk that tested every linear block id against the mode.
+fn filter_walk_oracle(mode: SampleMode, total: u64) -> Vec<u64> {
+    let selects = |linear: u64| match mode {
+        SampleMode::Full => true,
+        SampleMode::Stride(k) => linear.is_multiple_of(k as u64),
+        SampleMode::Chunked { chunk, skip } => (linear / chunk as u64).is_multiple_of(skip as u64),
+        SampleMode::Auto(_) => unreachable!("resolved before the walk"),
+    };
+    (0..total).filter(|&l| selects(l)).collect()
+}
+
+/// A random cache geometry: power-of-two lines of 16–256 B holding 1 to 8
+/// power-of-two sectors, 1–8 ways and 1–40 sets (many not powers of two),
+/// under either policy. Returned as `new`'s arguments.
+fn arb_cache_geometry() -> impl Strategy<Value = (usize, usize, usize, usize, CachePolicy)> {
+    any::<u64>().prop_map(|r| {
+        let line = 16usize << (r % 5);
+        let sector = (line >> ((r >> 8) % 4)).max(4);
+        let ways = 1 + (r >> 16) as usize % 8;
+        let sets = 1 + (r >> 24) as usize % 40;
+        let policy = if (r >> 40) & 1 == 0 {
+            CachePolicy::l1()
+        } else {
+            CachePolicy::l2()
+        };
+        (sets * ways * line, ways, line, sector, policy)
+    })
+}
+
+/// Cache operations `(kind, sector id, run length)`: kinds 0–2 read, write
+/// and run-access a sector, and one op in 16 (kind 3) flushes. Sector ids
+/// range over three times the largest capacity, so sets conflict and
+/// evict.
+fn arb_cache_ops() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
+    prop::collection::vec(any::<u64>(), 1..300).prop_map(|v| {
+        v.into_iter()
+            .map(|r| {
+                let kind = if r % 16 == 15 { 3 } else { (r % 16 % 3) as u8 };
+                (kind, (r >> 8) % (3 * 40 * 8 * 8), 1 + (r >> 40) % 4)
+            })
+            .collect()
+    })
+}
+
+/// Drive `flat` and `oracle` with `ops`, asserting identical observations.
+fn run_cache_ops(
+    flat: &mut SectoredCache,
+    oracle: &mut OracleCache,
+    ops: &[(u8, u64, u64)],
+    sector: u64,
+) {
+    for (step, &(kind, s, n)) in ops.iter().enumerate() {
+        let addr = s * sector;
+        let (got, want) = match kind {
+            0 => (flat.access(addr, false), oracle.access(addr, false)),
+            1 => (flat.access(addr, true), oracle.access(addr, true)),
+            2 => {
+                let w = s % 2 == 0;
+                (flat.access_run(addr, w, n), oracle.access_run(addr, w, n))
+            }
+            _ => {
+                flat.flush();
+                oracle.flush();
+                (Access::Hit, Access::Hit)
+            }
+        };
+        assert_eq!(got, want, "op {step} ({kind}, {addr:#x}, {n})");
+        assert_eq!(flat.evicted_dirty_sectors, oracle.evicted_dirty_sectors);
+        assert_eq!(flat.resident_sectors(), oracle.resident_sectors());
+    }
+}
+
+/// Bank counts from 1 to 257, half of them at most 64 (where the bank
+/// bitmap decides one-pass accesses).
+fn arb_bank_count() -> impl Strategy<Value = usize> {
+    any::<u64>().prop_map(|r| 1 + (r >> 1) as usize % if r % 2 == 0 { 64 } else { 257 })
+}
+
+/// Warp word indices for the shared-memory checks, below `words − 4`:
+/// warp-uniform, ascending or descending by a random stride below 41, or
+/// random.
+fn arb_smem_index(words: u32) -> impl Strategy<Value = VU> {
+    prop::collection::vec(any::<u32>(), WARP + 1).prop_map(move |raw| {
+        let top = words - 4;
+        let (base, stride) = (raw[0] % top, raw[WARP] % 41);
+        match raw[WARP] / 41 % 4 {
+            0 => VU::splat(base),
+            1 => VU::from_fn(|l| (base + stride * l as u32) % top),
+            2 => VU::from_fn(|l| (base + stride * (WARP - 1 - l) as u32) % top),
+            _ => VU::from_fn(|l| raw[l] % top),
+        }
     })
 }
 
@@ -424,6 +746,96 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat cache classifies every access of a random read, write and
+    /// run stream exactly as the `Vec`-of-sets cache did, with the same
+    /// write-backs and residency after every step, on every geometry
+    /// (non-power-of-two set counts included) and both policies.
+    #[test]
+    fn flat_cache_matches_vec_of_sets_oracle(geometry in arb_cache_geometry(),
+                                             ops in arb_cache_ops()) {
+        let (cap, ways, line, sector, policy) = geometry;
+        let mut flat = SectoredCache::new(cap, ways, line, sector, policy);
+        let mut oracle = OracleCache::new(cap, ways, line, sector, policy);
+        run_cache_ops(&mut flat, &mut oracle, &ops, sector as u64);
+    }
+
+    /// `reset` after arbitrary traffic leaves a cache that behaves as a
+    /// freshly built one on any later traffic.
+    #[test]
+    fn reset_cache_behaves_as_fresh(geometry in arb_cache_geometry(),
+                                    before in arb_cache_ops(), after in arb_cache_ops()) {
+        let (cap, ways, line, sector, policy) = geometry;
+        let mut reused = SectoredCache::new(cap, ways, line, sector, policy);
+        let mut scratch = OracleCache::new(cap, ways, line, sector, policy);
+        run_cache_ops(&mut reused, &mut scratch, &before, sector as u64);
+        reused.reset();
+        prop_assert_eq!(reused.evicted_dirty_sectors, 0);
+        prop_assert_eq!(reused.resident_sectors(), 0);
+        let mut fresh = OracleCache::new(cap, ways, line, sector, policy);
+        run_cache_ops(&mut reused, &mut fresh, &after, sector as u64);
+    }
+
+    /// Pass counts and loaded values (by bits) of `passes`, `load` and
+    /// `load_vec` match the previous bank model and gathers for every bank
+    /// count from 1 to 257 and uniform, ascending, descending and random
+    /// indices under random masks.
+    #[test]
+    fn smem_fast_paths_match_previous_model(banks in arb_bank_count(), idx in arb_smem_index(1024),
+                                            mask in arb_edge_mask(), fill in arb_lanes_f32()) {
+        const WORDS: u32 = 1024;
+        let mut smem = SharedMem::new(WORDS as usize, banks);
+        let mut data = vec![0.0f32; WORDS as usize];
+        for base in (0..WORDS).step_by(WARP) {
+            let vals = VF::from_fn(|l| f32::from_bits(fill.lane(l).to_bits() ^ base));
+            smem.store(&VU::from_fn(|l| base + l as u32), &vals, LaneMask::ALL);
+            for l in 0..WARP {
+                data[(base as usize) + l] = vals.lane(l);
+            }
+        }
+        let bits = |v: &VF| v.to_bits();
+        prop_assert_eq!(smem.passes(&idx, mask), keyed_passes_oracle(&idx, mask, banks));
+        let (v, p) = smem.load(&idx, mask);
+        prop_assert_eq!(p, keyed_passes_oracle(&idx, mask, banks));
+        prop_assert_eq!(bits(&v), bits(&load_oracle(&data, &idx, mask)));
+        let aligned = |k: u32| idx.map(|w| w & !(k - 1));
+        let (v4, p4) = smem.load_vec::<4>(&aligned(4), mask);
+        let (w4, q4) = load_vec_oracle::<4>(&data, &aligned(4), mask);
+        prop_assert_eq!(p4, q4);
+        prop_assert_eq!(v4.map(|v| bits(&v)), w4.map(|v| bits(&v)));
+        let (v2, p2) = smem.load_vec::<2>(&aligned(2), mask);
+        let (w2, q2) = load_vec_oracle::<2>(&data, &aligned(2), mask);
+        prop_assert_eq!(p2, q2);
+        prop_assert_eq!(v2.map(|v| bits(&v)), w2.map(|v| bits(&v)));
+        let (v1, p1) = smem.load_vec::<1>(&idx, mask);
+        let (w1, q1) = load_vec_oracle::<1>(&data, &idx, mask);
+        prop_assert_eq!(p1, q1);
+        prop_assert_eq!(v1.map(|v| bits(&v)), w1.map(|v| bits(&v)));
+    }
+
+    /// `SampleMode::selected` yields exactly the blocks the per-id filter
+    /// walk selected, in the same order, for every mode; `Auto` selects
+    /// what a launch resolves it to.
+    #[test]
+    fn selected_blocks_match_filter_walk(total in 0u64..5000, kind in 0u8..5, a in 1u32..70,
+                                         b in 1u32..40, target in 1u64..300) {
+        let mode = match kind {
+            0 => SampleMode::Full,
+            1 => SampleMode::Stride(a),
+            2 => SampleMode::Chunked { chunk: a, skip: b },
+            3 => SampleMode::auto(total, target),
+            _ => SampleMode::Auto(target),
+        };
+        let resolved = match mode {
+            SampleMode::Auto(t) => SampleMode::auto(total, t),
+            m => m,
+        };
+        prop_assert_eq!(mode.selected(total).collect::<Vec<_>>(), filter_walk_oracle(resolved, total));
     }
 }
 
