@@ -120,7 +120,7 @@ impl Conv2dAlgorithm for ShuffleDynamic {
                     // Accumulate this filter row; every tap read comes from
                     // local memory.
                     let (_, fr) = contributions_tiled(iy, fh, oy, 1, oh)
-                        .pop()
+                        .last()
                         .expect("row in range");
                     for s in 0..fw {
                         let v = itemp.get(w, s);

@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the simulator substrate itself: the
-//! coalescer, the shared-memory bank model, lane FMA, the sectored cache,
-//! warp shuffles and the launch machinery — the per-event costs everything
-//! else multiplies out of.
+//! coalescer, the shared-memory bank model, lane FMA, the sectored cache
+//! (per sector and per line), a warp's lane-run loads, warp shuffles and
+//! the launch machinery — the per-event costs everything else multiplies
+//! out of.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use memconv::gpusim::lane::{LaneMask, LaneVec, VF, VU, WARP};
@@ -132,6 +133,55 @@ fn bench_cache_2080ti(c: &mut Criterion) {
     });
 }
 
+fn bench_cache_line(c: &mut Criterion) {
+    let dev = DeviceConfig::rtx2080ti();
+    // The same 512 resident sectors as `cache_l1_resident_hits`, probed as
+    // 128 whole lines: one probe per line instead of one per sector.
+    let mut l1 = SectoredCache::new(
+        dev.l1_bytes,
+        dev.l1_ways,
+        dev.line_bytes,
+        dev.sector_bytes,
+        CachePolicy::l1(),
+    );
+    c.bench_function("cache_access_line", |b| {
+        b.iter(|| {
+            let mut hits = 0u32;
+            for line in 0..128u64 {
+                hits += l1
+                    .access_line(black_box(line * 128), 0b1111, false)
+                    .count_ones();
+            }
+            black_box(hits)
+        })
+    });
+}
+
+fn bench_gld_run(c: &mut Criterion) {
+    // A column-reuse row load, as Algorithm 1 issues it: one warp loading
+    // 32 consecutive columns of each of 256 rows (a lane run per load), on
+    // the 2080 Ti's caches. One launch of one warp per iteration.
+    let mut sim = GpuSim::rtx2080ti();
+    let iw = 96u32;
+    let x = sim.mem.alloc(256 * iw as usize);
+    c.bench_function("gld_run_warp_2080ti", |b| {
+        b.iter(|| {
+            let stats = sim.launch(&LaunchConfig::linear(1, 32), |blk| {
+                blk.each_warp(|w| {
+                    let lane = w.lane_id();
+                    let mut acc = VF::splat(0.0);
+                    for row in 0..256u32 {
+                        let v = w.gld(x, &(lane + (row * iw + 2)), LaneMask::ALL);
+                        acc = acc + v;
+                    }
+                    black_box(acc);
+                });
+            });
+            black_box(stats.gld_transactions)
+        })
+    });
+}
+
 fn bench_shuffle(c: &mut Criterion) {
     let v = LaneVec::<f32>::from_fn(|l| l as f32);
     c.bench_function("shfl_xor", |b| {
@@ -188,6 +238,8 @@ criterion_group!(
     bench_fma,
     bench_cache,
     bench_cache_2080ti,
+    bench_cache_line,
+    bench_gld_run,
     bench_shuffle,
     bench_launch
 );

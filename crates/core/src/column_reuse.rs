@@ -31,38 +31,43 @@ pub fn exchange_step(w: &mut WarpCtx<'_, '_>, lo_val: &VF, hi_val: &VF, e: &Exch
 }
 
 /// Load one input row's columns `x0 + lane + k`, `k ∈ [0, plan.fw)`, into
-/// per-lane slots, issuing only `plan.num_loads()` global loads and
-/// reconstructing the rest with shuffles.
+/// the per-lane `slots` (`plan.fw` of them, owned by the caller so a warp
+/// reuses one buffer for every row), issuing only `plan.num_loads()`
+/// global loads and reconstructing the rest with shuffles.
 ///
 /// * `row_base` — flat element index of `input[row][x0]`;
 /// * `cols_left` — `IW − x0`: columns available from `x0` to the row's end
 ///   (loads beyond it are masked off, mirroring the halo predicate of the
 ///   CUDA kernel).
 ///
-/// Returned slots are exact for every lane whose column `x0 + lane + k`
-/// is inside the row; other lanes hold unspecified values that callers
-/// mask at the store.
+/// Every slot is overwritten. Slots are exact for every lane whose column
+/// `x0 + lane + k` is inside the row; other lanes hold unspecified values
+/// that callers mask at the store.
 pub fn load_row_columns(
     w: &mut WarpCtx<'_, '_>,
     input: BufId,
     row_base: u32,
     cols_left: u32,
     plan: &ColumnPlan,
-) -> Vec<VF> {
+    slots: &mut [VF],
+) {
+    assert_eq!(slots.len(), plan.fw, "one slot per filter column");
     let lane = w.lane_id();
-    let mut slots: Vec<VF> = vec![VF::splat(0.0); plan.fw];
-
     for &k in &plan.loads {
         let idx = lane + (row_base + k as u32);
         let mask = lane.lt_scalar(cols_left.saturating_sub(k as u32));
         slots[k] = w.gld(input, &idx, mask);
     }
+    exchange_slots(w, plan, slots);
+}
+
+/// Fill the plan's shuffle-produced slots from the loaded ones.
+fn exchange_slots(w: &mut WarpCtx<'_, '_>, plan: &ColumnPlan, slots: &mut [VF]) {
     for e in &plan.exchanges {
         let lo = slots[e.lo];
         let hi = slots[e.hi];
         slots[e.mid()] = exchange_step(w, &lo, &hi, e);
     }
-    slots
 }
 
 /// Clipped variant for zero-padded convolution: lane `l`'s slot `k` is the
@@ -70,7 +75,7 @@ pub fn load_row_columns(
 /// (`col0` may be negative under left padding). Out-of-row lanes are
 /// masked off and read 0.0 — which is exactly the zero-padding value, so
 /// the shuffle exchanges propagate correct padded data with no extra
-/// logic.
+/// logic. Fills the caller's `slots` like [`load_row_columns`].
 pub fn load_row_columns_clipped(
     w: &mut WarpCtx<'_, '_>,
     input: BufId,
@@ -78,35 +83,30 @@ pub fn load_row_columns_clipped(
     col0: i64,
     iw: usize,
     plan: &ColumnPlan,
-) -> Vec<VF> {
-    let mut slots: Vec<VF> = vec![VF::splat(0.0); plan.fw];
+    slots: &mut [VF],
+) {
+    assert_eq!(slots.len(), plan.fw, "one slot per filter column");
     for &k in &plan.loads {
         let (idx, mask) = clipped_row_index(row_start, col0 + k as i64, iw);
         slots[k] = w.gld(input, &idx, mask);
     }
-    for e in &plan.exchanges {
-        let lo = slots[e.lo];
-        let hi = slots[e.hi];
-        slots[e.mid()] = exchange_step(w, &lo, &hi, e);
-    }
-    slots
+    exchange_slots(w, plan, slots);
 }
 
-/// Clipped direct loads (Fig. 1a flow under zero padding).
+/// Clipped direct loads (Fig. 1a flow under zero padding): one load per
+/// slot, `slots.len()` being the filter width.
 pub fn load_row_columns_direct_clipped(
     w: &mut WarpCtx<'_, '_>,
     input: BufId,
     row_start: u32,
     col0: i64,
     iw: usize,
-    fw: usize,
-) -> Vec<VF> {
-    (0..fw)
-        .map(|k| {
-            let (idx, mask) = clipped_row_index(row_start, col0 + k as i64, iw);
-            w.gld(input, &idx, mask)
-        })
-        .collect()
+    slots: &mut [VF],
+) {
+    for (k, slot) in slots.iter_mut().enumerate() {
+        let (idx, mask) = clipped_row_index(row_start, col0 + k as i64, iw);
+        *slot = w.gld(input, &idx, mask);
+    }
 }
 
 /// Per-lane index + in-row mask for column `base_col + lane`.
@@ -119,23 +119,22 @@ fn clipped_row_index(row_start: u32, base_col: i64, iw: usize) -> (VU, memconv_g
     (idx, mask)
 }
 
-/// The unoptimized comparison point: load all `FW` columns directly (the
-/// Fig. 1a flow). Same masking contract as [`load_row_columns`].
+/// The unoptimized comparison point: load all `FW = slots.len()` columns
+/// directly (the Fig. 1a flow). Same masking contract as
+/// [`load_row_columns`].
 pub fn load_row_columns_direct(
     w: &mut WarpCtx<'_, '_>,
     input: BufId,
     row_base: u32,
     cols_left: u32,
-    fw: usize,
-) -> Vec<VF> {
+    slots: &mut [VF],
+) {
     let lane = w.lane_id();
-    (0..fw)
-        .map(|k| {
-            let idx = lane + (row_base + k as u32);
-            let mask = lane.lt_scalar(cols_left.saturating_sub(k as u32));
-            w.gld(input, &idx, mask)
-        })
-        .collect()
+    for (k, slot) in slots.iter_mut().enumerate() {
+        let idx = lane + (row_base + k as u32);
+        let mask = lane.lt_scalar(cols_left.saturating_sub(k as u32));
+        *slot = w.gld(input, &idx, mask);
+    }
 }
 
 #[cfg(test)]
@@ -161,7 +160,8 @@ mod tests {
             let plan = ColumnPlan::new(fw);
             let n = WARP + fw; // exactly enough columns for every slot
             with_ramp_warp(n, |w, buf| {
-                let ours = load_row_columns(w, buf, 0, n as u32, &plan);
+                let mut ours = vec![VF::splat(f32::NAN); fw];
+                load_row_columns(w, buf, 0, n as u32, &plan, &mut ours);
                 for (k, slot) in ours.iter().enumerate() {
                     for l in 0..WARP {
                         assert_eq!(slot.lane(l), (l + k) as f32, "fw={fw} slot={k} lane={l}");
@@ -176,11 +176,12 @@ mod tests {
         for fw in [3usize, 5, 7] {
             let plan = ColumnPlan::new(fw);
             let n = WARP + fw;
+            let mut slots = vec![VF::splat(0.0); fw];
             let ours = with_ramp_warp(n, |w, buf| {
-                let _ = load_row_columns(w, buf, 0, n as u32, &plan);
+                load_row_columns(w, buf, 0, n as u32, &plan, &mut slots);
             });
             let direct = with_ramp_warp(n, |w, buf| {
-                let _ = load_row_columns_direct(w, buf, 0, n as u32, fw);
+                load_row_columns_direct(w, buf, 0, n as u32, &mut slots);
             });
             assert_eq!(direct.gld_requests, fw as u64);
             assert_eq!(ours.gld_requests, plan.num_loads() as u64);
@@ -199,7 +200,8 @@ mod tests {
     fn row_base_offsets_apply() {
         let plan = ColumnPlan::new(3);
         with_ramp_warp(100, |w, buf| {
-            let slots = load_row_columns(w, buf, 40, 60, &plan);
+            let mut slots = [VF::splat(0.0); 3];
+            load_row_columns(w, buf, 40, 60, &plan, &mut slots);
             assert_eq!(slots[0].lane(0), 40.0);
             assert_eq!(slots[1].lane(5), 46.0);
             assert_eq!(slots[2].lane(31), 73.0);
@@ -212,7 +214,8 @@ mod tests {
         // must not fault and must not contribute transactions.
         let plan = ColumnPlan::new(5);
         let stats = with_ramp_warp(64, |w, buf| {
-            let slots = load_row_columns(w, buf, 0, 20, &plan);
+            let mut slots = [VF::splat(0.0); 5];
+            load_row_columns(w, buf, 0, 20, &plan, &mut slots);
             // lanes 0..16 have all 5 columns in range; check an interior one
             assert_eq!(slots[4].lane(10), 14.0);
             // shuffle-filled slot for a fully-in-range lane
@@ -226,7 +229,7 @@ mod tests {
         // The point of Algorithm 1: everything stays in registers.
         let plan = ColumnPlan::new(5);
         let stats = with_ramp_warp(64, |w, buf| {
-            let _ = load_row_columns(w, buf, 0, 40, &plan);
+            load_row_columns(w, buf, 0, 40, &plan, &mut [VF::splat(0.0); 5]);
         });
         assert_eq!(stats.local_requests, 0);
         assert_eq!(stats.local_transactions(), 0);

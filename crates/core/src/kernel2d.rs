@@ -151,8 +151,10 @@ pub fn launch_conv2d_ours_padded(
                 fvals.push(w.const_load(filter, i as u32));
             }
 
-            // Register accumulators: one output row tile per lane.
+            // Register accumulators (one output row tile per lane) and the
+            // row's column slots, reused for every row.
             let mut acc = vec![VF::splat(0.0); t_rows];
+            let mut slots = vec![VF::splat(0.0); fw];
 
             let last_in_row = (y0 + t_rows + fh - 1).min(vh);
             for vy in y0..last_in_row {
@@ -160,11 +162,11 @@ pub fn launch_conv2d_ours_padded(
                 let iy = vy as i64 - pad_h as i64;
                 if iy >= 0 && (iy as usize) < ih {
                     let row_start = (iy as usize * iw) as u32;
-                    let slots = if cfg.column_reuse {
-                        load_row_columns_clipped(w, input, row_start, col0, iw, &plan)
+                    if cfg.column_reuse {
+                        load_row_columns_clipped(w, input, row_start, col0, iw, &plan, &mut slots);
                     } else {
-                        load_row_columns_direct_clipped(w, input, row_start, col0, iw, fw)
-                    };
+                        load_row_columns_direct_clipped(w, input, row_start, col0, iw, &mut slots);
+                    }
                     for (o, fr) in contributions_tiled(vy, fh, y0, t_rows, oh) {
                         let t = o - y0;
                         for (s, &slot) in slots.iter().enumerate() {

@@ -85,12 +85,14 @@ pub fn depthwise_launch_parts(
                 fvals.push(w.const_load(weights, (f * w_plane + i) as u32));
             }
             let plane_base = (n * ic + c) * in_plane;
+            // Accumulators and the row's column slots, reused for every row.
             let mut acc = vec![VF::splat(0.0); t_rows];
+            let mut slots = vec![VF::splat(0.0); fw];
             let first_vy = y0 * sh;
             let last_vy = ((y0 + t_rows - 1).min(oh - 1) * sh + reach_h + 1).min(ih + 2 * pad_h);
             for vy in first_vy..last_vy {
-                let contribs = contributions_geo(vy, fh, sh, dh, y0, t_rows, oh);
-                if contribs.is_empty() {
+                let mut contribs = contributions_geo(vy, fh, sh, dh, y0, t_rows, oh).peekable();
+                if contribs.peek().is_none() {
                     continue;
                 }
                 let iy = vy as i64 - pad_h as i64;
@@ -98,8 +100,7 @@ pub fn depthwise_launch_parts(
                     continue;
                 }
                 let row_base = plane_base + iy as usize * iw;
-                let mut slots: Vec<VF> = vec![VF::splat(0.0); fw];
-                let full = LaneMask::from_fn(|_| true);
+                let full = LaneMask::ALL;
                 let gather = |w: &mut WarpCtx<'_, '_>, k: usize, m: LaneMask| {
                     let mask =
                         LaneMask::from_fn(|l| m.get(l) && (0..iw as i64).contains(&col(l, k)));

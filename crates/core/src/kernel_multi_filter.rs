@@ -68,32 +68,39 @@ pub fn launch_conv_nchw_multi_filter(
                 return;
             }
 
-            // Accumulators: [filter][row] — fpp·t_rows registers per lane.
-            let mut acc = vec![vec![VF::splat(0.0); t_rows]; fcount];
+            // The warp's registers, allocated once and reused for every
+            // channel and row. Accumulators: [filter][row] — fpp·t_rows
+            // registers per lane.
+            let mut acc = vec![VF::splat(0.0); fcount * t_rows];
+            let mut fvals = vec![VF::splat(0.0); fcount * w_plane];
+            let mut slots = vec![VF::splat(0.0); fw];
             let last_in_row = (y0 + t_rows + fh - 1).min(ih);
 
             for c in 0..ic {
                 // This channel's filter planes for every filter in the
                 // group, from constant memory.
-                let mut fvals: Vec<VF> = Vec::with_capacity(fcount * w_plane);
-                for fi in 0..fcount {
+                for (fi, planes) in fvals.chunks_exact_mut(w_plane).enumerate() {
                     let wbase = ((f0 + fi) * ic + c) * w_plane;
-                    for i in 0..w_plane {
-                        fvals.push(w.const_load(weights, (wbase + i) as u32));
+                    for (i, fv) in planes.iter_mut().enumerate() {
+                        *fv = w.const_load(weights, (wbase + i) as u32);
                     }
                 }
                 let plane_base = (n * ic + c) * in_plane;
                 for iy in y0..last_in_row {
                     let row_start = (plane_base + iy * iw) as u32;
-                    let slots = if cfg.column_reuse {
-                        load_row_columns_clipped(w, input, row_start, x0 as i64, iw, &plan)
+                    if cfg.column_reuse {
+                        load_row_columns_clipped(
+                            w, input, row_start, x0 as i64, iw, &plan, &mut slots,
+                        );
                     } else {
-                        load_row_columns_direct_clipped(w, input, row_start, x0 as i64, iw, fw)
-                    };
+                        load_row_columns_direct_clipped(
+                            w, input, row_start, x0 as i64, iw, &mut slots,
+                        );
+                    }
                     // One loaded row feeds every (row, filter) output pair.
                     for (o, fr) in contributions_tiled(iy, fh, y0, t_rows, oh) {
                         let t = o - y0;
-                        for (fi, filt_acc) in acc.iter_mut().enumerate() {
+                        for (fi, filt_acc) in acc.chunks_exact_mut(t_rows).enumerate() {
                             for (s, &slot) in slots.iter().enumerate() {
                                 filt_acc[t] =
                                     w.fma(slot, fvals[fi * w_plane + fr * fw + s], filt_acc[t]);
@@ -105,7 +112,7 @@ pub fn launch_conv_nchw_multi_filter(
 
             let lane = w.lane_id();
             let store_mask = lane.lt_scalar((ow - x0) as u32);
-            for (fi, filt_acc) in acc.iter().enumerate() {
+            for (fi, filt_acc) in acc.chunks_exact(t_rows).enumerate() {
                 let out_base = (n * fn_ + f0 + fi) * out_plane;
                 for (t, &a) in filt_acc.iter().enumerate() {
                     let oy = y0 + t;

@@ -101,25 +101,28 @@ fn nchw_launch_parts_fused(
                 return;
             }
 
+            // The warp's registers, allocated once and reused for every
+            // channel and row.
             let mut acc = vec![VF::splat(0.0); t_rows];
+            let mut fvals = vec![VF::splat(0.0); w_plane];
+            let mut slots = vec![VF::splat(0.0); fw];
             let last_in_row = (y0 + t_rows + fh - 1).min(ih);
 
             for c in 0..ic {
                 // This channel's filter plane, from constant memory.
                 let wbase = (f * ic + c) * w_plane;
-                let mut fvals: Vec<VF> = Vec::with_capacity(w_plane);
-                for i in 0..w_plane {
-                    fvals.push(w.const_load(weights, (wbase + i) as u32));
+                for (i, fv) in fvals.iter_mut().enumerate() {
+                    *fv = w.const_load(weights, (wbase + i) as u32);
                 }
                 let plane_base = (n * ic + c) * in_plane;
                 for iy in y0..last_in_row {
                     let row_base = (plane_base + iy * iw + x0) as u32;
                     let cols_left = (iw - x0) as u32;
-                    let slots = if cfg.column_reuse {
-                        load_row_columns(w, input, row_base, cols_left, &plan)
+                    if cfg.column_reuse {
+                        load_row_columns(w, input, row_base, cols_left, &plan, &mut slots);
                     } else {
-                        load_row_columns_direct(w, input, row_base, cols_left, fw)
-                    };
+                        load_row_columns_direct(w, input, row_base, cols_left, &mut slots);
+                    }
                     for (o, fr) in contributions_tiled(iy, fh, y0, t_rows, oh) {
                         let t = o - y0;
                         for (s, &slot) in slots.iter().enumerate() {

@@ -36,10 +36,10 @@ use crate::device::DeviceConfig;
 use crate::faults::{self, BlockFaults, FaultLog, FaultPlan};
 use crate::lane::{LaneMask, VF, VU, WARP};
 use crate::memory::hierarchy::{
-    flush_l2, l1_geometry, l2_geometry, phantom_access, renew, replay_trace, warp_access, L2Sink,
-    Space,
+    flush_l2, l1_geometry, l2_geometry, phantom_access, renew, replay_trace, warp_access,
+    warp_access_span, L2Sink, Space,
 };
-use crate::memory::{BufId, GlobalMem, SectoredCache, SharedMem};
+use crate::memory::{BufId, GlobalMem, LaneRun, SectoredCache, SharedMem};
 use crate::obs::{LaunchSpanRecord, SpanConfig, SpanScratch};
 use crate::shuffle;
 use crate::stats::KernelStats;
@@ -641,10 +641,21 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// lane is reported as a hazard and reads 0.0 instead of panicking
     /// (compute-sanitizer-style report-and-continue); plain launches keep
     /// the hard OOB panic.
+    ///
+    /// A lane run ([`LaneRun`]) outside phantom and analysis runs takes the
+    /// span path: sectors from the span's ends and, in the sequential
+    /// engine, one copy. Counters, cache state, fault draws, values and
+    /// panics are those of the per-lane path.
     #[track_caller]
     pub fn gld(&mut self, buf: BufId, idx: &VU, mask: LaneMask) -> VF {
         let site = SiteId::caller();
         self.res.tick(1);
+        if let Some(run) = self.plain_run(idx, mask) {
+            self.run_access(buf, run, false);
+            let mut v = self.res.glob.read_run(buf, idx, mask, run);
+            self.corrupt_global_load(&mut v, mask);
+            return v;
+        }
         let mut addrs = [0u64; WARP];
         self.res.glob.fill_addrs(buf, idx, mask, &mut addrs);
         if let Some(ph) = self.res.phantom {
@@ -684,14 +695,46 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         } else {
             mask
         };
-        let v = self.res.glob.read_lanes(buf, idx, read_mask);
-        // ECC-off SDC: one active lane's loaded value takes a bit flip.
+        let mut v = self.res.glob.read_lanes(buf, idx, read_mask);
+        self.corrupt_global_load(&mut v, read_mask);
+        v
+    }
+
+    /// The lane run of `idx` under `mask` when the span path may take it:
+    /// not under phantom execution or hazard analysis, which instrument
+    /// every lane.
+    #[inline]
+    fn plain_run(&self, idx: &VU, mask: LaneMask) -> Option<LaneRun> {
+        if self.res.phantom.is_some() || self.res.analysis.is_some() {
+            return None;
+        }
+        LaneRun::of(idx, mask)
+    }
+
+    /// Send a lane run of `buf` through the L1 and L2 as one byte span.
+    fn run_access(&mut self, buf: BufId, run: LaneRun, is_store: bool) {
+        let first = self.res.glob.buf_base(buf) + run.start as u64 * 4;
+        warp_access_span(
+            self.res.dev,
+            self.res.l1,
+            &mut self.res.l2,
+            self.res.stats,
+            first,
+            run.n as u64 * 4,
+            is_store,
+            self.res.faults.as_deref_mut(),
+        );
+    }
+
+    /// ECC-off SDC: one lane of `read_mask` takes a bit flip in its loaded
+    /// value `v` when a global-load fault is drawn.
+    #[inline]
+    fn corrupt_global_load(&mut self, v: &mut VF, read_mask: LaneMask) {
         if let Some(c) = self.res.faults.as_deref_mut().and_then(|f| f.global_load()) {
             if let Some(lane) = faults::pick_lane(read_mask, c.pick) {
-                return shuffle::corrupt_lane(&v, lane, c.bit);
+                *v = shuffle::corrupt_lane(v, lane, c.bit);
             }
         }
-        v
     }
 
     /// Warp global store of f32. Two active lanes writing the same element
@@ -699,10 +742,17 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     ///
     /// Under hazard analysis an active out-of-bounds lane is reported and
     /// its store dropped instead of panicking (see [`WarpCtx::gld`]).
+    ///
+    /// A lane run takes the span path described at [`WarpCtx::gld`].
     #[track_caller]
     pub fn gst(&mut self, buf: BufId, idx: &VU, val: &VF, mask: LaneMask) {
         let site = SiteId::caller();
         self.res.tick(1);
+        if let Some(run) = self.plain_run(idx, mask) {
+            self.run_access(buf, run, true);
+            self.res.glob.write_run(buf, idx, val, mask, run);
+            return;
+        }
         let mut addrs = [0u64; WARP];
         self.res.glob.fill_addrs(buf, idx, mask, &mut addrs);
         if self.res.phantom.is_some() {

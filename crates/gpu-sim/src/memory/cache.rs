@@ -196,15 +196,38 @@ impl SectoredCache {
         }
     }
 
-    /// One access; returns its classification and the slot now holding the
-    /// sector's line, `None` when a write miss did not allocate.
-    fn access_slot(&mut self, sector_addr: u64, is_write: bool) -> (Access, Option<usize>) {
+    /// The line holding `sector_addr` and the sector's bit in that line's
+    /// valid/dirty masks.
+    #[inline]
+    fn line_and_bit(&self, sector_addr: u64) -> (u64, u8) {
         let line_mask = (1u64 << self.line_shift) - 1;
         debug_assert_eq!(sector_addr & ((1u64 << self.sector_shift) - 1), 0);
-        self.tick += 1;
+        (
+            sector_addr & !line_mask,
+            1u8 << ((sector_addr & line_mask) >> self.sector_shift),
+        )
+    }
+
+    /// log2 of the line and sector sizes: sector `i` of a line starts at
+    /// `line_addr | i << sector_shift`.
+    #[inline]
+    pub(crate) fn shifts(&self) -> (u32, u32) {
+        (self.line_shift, self.sector_shift)
+    }
+
+    /// The one probe behind every access: touch the sectors `bits` of the
+    /// line at `line_addr`, as `bits.count_ones()` consecutive single-sector
+    /// accesses in ascending order would. The clock advances by that count
+    /// and the line's stamp lands on the last tick. Only the first access
+    /// can miss the line (the line is resident afterwards, unless a write
+    /// does not allocate), so at most one victim is evicted, and it is the
+    /// one the first access would evict: the victim depends only on the
+    /// other lines' stamps. Returns whether the line was resident, the
+    /// sectors that were already valid (the hits), and the slot now holding
+    /// the line (`None` when a write miss did not allocate).
+    fn probe(&mut self, line_addr: u64, bits: u8, is_write: bool) -> (bool, u8, Option<usize>) {
+        self.tick += bits.count_ones() as u64;
         let tick = self.tick;
-        let line_addr = sector_addr & !line_mask;
-        let bit = 1u8 << ((sector_addr & line_mask) >> self.sector_shift);
         let ways = self.geometry.ways;
         let set = self.set_index(line_addr);
         let base = set * ways;
@@ -222,20 +245,16 @@ impl SectoredCache {
             let slot = base + i;
             self.stamps[slot] = tick;
             if is_write && write_back {
-                self.dirty[slot] |= bit;
+                self.dirty[slot] |= bits;
             }
-            let access = if self.valid[slot] & bit != 0 {
-                Access::Hit
-            } else {
-                self.valid[slot] |= bit;
-                Access::SectorMiss
-            };
-            return (access, Some(slot));
+            let hits = self.valid[slot] & bits;
+            self.valid[slot] |= bits;
+            return (true, hits, Some(slot));
         }
 
         // Line miss.
         if is_write && !allocate_on_write {
-            return (Access::LineMiss, None);
+            return (false, 0, None);
         }
         let slot = if filled == ways {
             // Evict the LRU line in place. Stamps are distinct ticks, so the
@@ -252,10 +271,41 @@ impl SectoredCache {
             base + filled
         };
         self.tags[slot] = line_addr;
-        self.valid[slot] = bit;
-        self.dirty[slot] = if is_write && write_back { bit } else { 0 };
+        self.valid[slot] = bits;
+        self.dirty[slot] = if is_write && write_back { bits } else { 0 };
         self.stamps[slot] = tick;
-        (Access::LineMiss, Some(slot))
+        (false, 0, Some(slot))
+    }
+
+    /// One access; returns its classification and the slot now holding the
+    /// sector's line, `None` when a write miss did not allocate.
+    fn access_slot(&mut self, sector_addr: u64, is_write: bool) -> (Access, Option<usize>) {
+        let (line_addr, bit) = self.line_and_bit(sector_addr);
+        let (line_hit, hits, slot) = self.probe(line_addr, bit, is_write);
+        let access = if hits != 0 {
+            Access::Hit
+        } else if line_hit {
+            Access::SectorMiss
+        } else {
+            Access::LineMiss
+        };
+        (access, slot)
+    }
+
+    /// Access the sectors `sector_bits` of the line at `line_addr` (bit `i`
+    /// is the line's sector `i`) in one probe. Equivalent to one
+    /// [`SectoredCache::access`] per set bit in ascending order: the clock
+    /// advances by the number of sectors and the line's stamp lands on the
+    /// last tick, a line miss evicts the same LRU victim, and the valid and
+    /// dirty masks gain the same bits. Returns the sectors that access would
+    /// have classified as [`Access::Hit`].
+    #[inline]
+    pub fn access_line(&mut self, line_addr: u64, sector_bits: u8, is_write: bool) -> u8 {
+        debug_assert_eq!(line_addr & ((1u64 << self.line_shift) - 1), 0);
+        if sector_bits == 0 {
+            return 0;
+        }
+        self.probe(line_addr, sector_bits, is_write).1
     }
 
     /// Access one sector (its 32-byte-aligned base address). Returns the
@@ -443,6 +493,52 @@ mod tests {
             (0, 0, 0)
         );
         assert_eq!(c.access(0, false), Access::LineMiss);
+    }
+
+    #[test]
+    fn access_line_matches_one_access_per_sector() {
+        // Two lines per set contend, so the line probes hit, sector-miss,
+        // line-miss and evict (dirty lines included) under both policies.
+        let ops = [
+            (0x0u64, 0b0101u8, false),
+            (4 * 128, 0b1111, true),
+            (0x0, 0b0111, true),
+            (8 * 128, 0b1000, false),
+            (4 * 128, 0b0001, false),
+            (12 * 128, 0b0110, true),
+            (0x0, 0b1001, false),
+        ];
+        for policy in [CachePolicy::l2(), CachePolicy::l1()] {
+            let mut line = SectoredCache::new(1024, 2, 128, 32, policy);
+            let mut slow = SectoredCache::new(1024, 2, 128, 32, policy);
+            for &(addr, bits, w) in &ops {
+                let hits = line.access_line(addr, bits, w);
+                let mut want = 0u8;
+                for i in 0..4 {
+                    if bits & 1 << i != 0 && slow.access(addr + i * 32, w) == Access::Hit {
+                        want |= 1 << i;
+                    }
+                }
+                assert_eq!(hits, want, "{addr:#x} {bits:#06b} {w}");
+                assert_eq!(line.tick, slow.tick);
+                // Stamps land on the last tick, as the last access leaves
+                // them. A first-tick stamp would order lines the same way,
+                // so only the state itself tells the two apart.
+                let stamps = |c: &SectoredCache| {
+                    c.occupied()
+                        .map(|slot| (c.tags[slot], c.stamps[slot]))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(stamps(&line), stamps(&slow));
+                assert_eq!(line.evicted_dirty_sectors, slow.evicted_dirty_sectors);
+                assert_eq!(line.resident_sectors(), slow.resident_sectors());
+            }
+            assert_eq!(line.access_line(0x0, 0, false), 0, "no sectors, no access");
+            assert_eq!(line.tick, slow.tick);
+            line.flush();
+            slow.flush();
+            assert_eq!(line.evicted_dirty_sectors, slow.evicted_dirty_sectors);
+        }
     }
 
     #[test]

@@ -4,8 +4,13 @@
 //! addresses and merges them into the minimal set of 32-byte *sectors*
 //! (Volta/Turing granularity). Each distinct sector is one **memory
 //! transaction** — the quantity the paper's two optimizations reduce.
+//!
+//! Most warp accesses of the paper's kernels are *lane runs*
+//! ([`LaneRun`]): a column-reuse row load or an output-row store touches
+//! one contiguous byte span, whose sectors follow from its two ends
+//! ([`super::hierarchy::warp_access_span`]) without walking the lanes.
 
-use crate::lane::{LaneMask, WARP};
+use crate::lane::{LaneMask, VU, WARP};
 
 /// Result of coalescing one warp-level access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,6 +90,80 @@ pub fn coalesce_into(
     distinct
 }
 
+/// A *lane run*: the active lanes of a warp access are `lo..lo + n` with
+/// no holes, and their element indices are consecutive, `idx[lo + j] ==
+/// start + j`, without wrapping past `u32::MAX`. A run of 4-byte elements
+/// reads or writes the one byte span `[4·start, 4·(start + n))` of its
+/// buffer, so the simulator can price and move it without a per-lane walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneRun {
+    /// First active lane.
+    pub lo: usize,
+    /// Number of active lanes, 1 to 32.
+    pub n: usize,
+    /// Element index of lane `lo`.
+    pub start: u32,
+}
+
+/// `1 << l` for each lane `l`: lets [`LaneRun::of`] test every lane's mask
+/// bit with one vector compare instead of a per-lane variable shift.
+const LANE_BIT: [u32; WARP] = {
+    let mut bits = [0; WARP];
+    let mut l = 0;
+    while l < WARP {
+        bits[l] = 1 << l;
+        l += 1;
+    }
+    bits
+};
+
+/// The lane ids `0..32` as `u32`, for the same vector compare.
+const LANE_ID: [u32; WARP] = {
+    let mut ids = [0; WARP];
+    let mut l = 0;
+    while l < WARP {
+        ids[l] = l as u32;
+        l += 1;
+    }
+    ids
+};
+
+impl LaneRun {
+    /// The run formed by `idx` under `mask`, or `None` when the access is
+    /// any other shape (no active lane, a hole in the mask, a lane off the
+    /// sequence, or a sequence that wraps). Costs a few ns: the sequence
+    /// check is branch-free over all 32 lanes, so it compiles to a handful
+    /// of vector compares.
+    #[inline]
+    pub fn of(idx: &VU, mask: LaneMask) -> Option<LaneRun> {
+        let m = mask.0;
+        if m == 0 {
+            return None;
+        }
+        let lo = m.trailing_zeros();
+        let n = (m >> lo).trailing_ones();
+        if (m >> lo) as u64 != (1u64 << n) - 1 {
+            return None;
+        }
+        let start = idx.0[lo as usize];
+        if start as u64 + (n - 1) as u64 > u32::MAX as u64 {
+            return None;
+        }
+        // Active lane l is on the sequence iff idx[l] − l == start − lo.
+        let key = start.wrapping_sub(lo);
+        let mut off = 0u32;
+        for l in 0..WARP {
+            let active = if m & LANE_BIT[l] != 0 { u32::MAX } else { 0 };
+            off |= (idx.0[l].wrapping_sub(LANE_ID[l]) ^ key) & active;
+        }
+        (off == 0).then_some(LaneRun {
+            lo: lo as usize,
+            n: n as usize,
+            start,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +219,49 @@ mod tests {
         let a = addrs_from(|_| 0x501e); // 8-byte access over boundary at 0x5020
         let r = coalesce(&a, LaneMask::first(1), 8, 32);
         assert_eq!(r.transactions(), 2);
+    }
+
+    #[test]
+    fn lane_runs_are_hole_free_consecutive_and_unwrapped() {
+        let ramp = VU::from_fn(|l| 100 + l as u32);
+        assert_eq!(
+            LaneRun::of(&ramp, LaneMask::ALL),
+            Some(LaneRun {
+                lo: 0,
+                n: 32,
+                start: 100
+            })
+        );
+        let mid = LaneMask::from_fn(|l| (3..20).contains(&l));
+        assert_eq!(
+            LaneRun::of(&ramp, mid),
+            Some(LaneRun {
+                lo: 3,
+                n: 17,
+                start: 103
+            })
+        );
+        // Inactive lanes may hold anything.
+        let junk = VU::from_fn(|l| {
+            if (3..20).contains(&l) {
+                97 + l as u32
+            } else {
+                7
+            }
+        });
+        assert_eq!(LaneRun::of(&junk, mid).map(|r| r.start), Some(100));
+        assert_eq!(LaneRun::of(&ramp, LaneMask::NONE), None);
+        assert_eq!(LaneRun::of(&ramp, LaneMask(0b1011)), None, "hole");
+        let off_by_one = VU::from_fn(|l| 100 + l as u32 + (l == 9) as u32);
+        assert_eq!(LaneRun::of(&off_by_one, LaneMask::ALL), None);
+        let wrap = VU::from_fn(|l| (u32::MAX - 3).wrapping_add(l as u32));
+        assert_eq!(LaneRun::of(&wrap, LaneMask::ALL), None, "wraps");
+        assert_eq!(
+            LaneRun::of(&wrap, LaneMask::first(4)).map(|r| r.n),
+            Some(4),
+            "ends exactly at u32::MAX"
+        );
+        assert_eq!(LaneRun::of(&wrap, LaneMask::first(5)), None);
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! their L2-bound sectors into a [`BlockTrace`] ([`L2Sink::Deferred`]), and
 //! [`replay_trace`] later drives the real L2 with the identical ordered
 //! stream the sequential engine ([`L2Sink::Inline`]) would have produced.
+//!
+//! Both caches are probed once per 128 B line, not once per sector
+//! ([`SectoredCache::access_line`], exact by construction). A lane run
+//! ([`warp_access_span`]) skips the coalescer: its lines and their sectors
+//! follow from the ends of its byte span.
 
 use super::cache::{Access, CacheGeometry, CachePolicy, SectoredCache};
 use super::coalescer::{coalesce_into, SectorBuf};
@@ -124,20 +129,154 @@ pub fn warp_access(
     }
     let mut buf = [0; 2 * WARP];
     let sectors = coalesce_counted(dev, stats, addrs, mask, is_store, space, &mut buf);
-    let txns = sectors.len() as u64;
+    let (line_shift, sector_shift) = l1.shifts();
+    let lines = sector_lines(sectors, line_shift, sector_shift);
+    route_lines(l1, sink, stats, lines, is_store, faults);
+    sectors.len() as u64
+}
 
-    // Dispatch on the sink variant once per warp access; the per-sector
-    // loops below are monomorphic over the emit closure, keeping the enum
-    // match (and the fault-fate indirection) off the per-sector hot path.
+/// [`warp_access`] for a global access whose active lanes cover exactly the
+/// byte span `[first, first + bytes)`, as a lane run does
+/// ([`super::LaneRun`]): its sectors — every sector from the span's first
+/// byte to its last — and their lines follow from the span's two ends
+/// instead of the per-lane coalescer, with identical counters, cache state
+/// and sink stream. `bytes` is 1 to 128.
+#[allow(clippy::too_many_arguments)] // mirrors `warp_access`
+pub fn warp_access_span(
+    dev: &DeviceConfig,
+    l1: &mut SectoredCache,
+    sink: &mut L2Sink<'_>,
+    stats: &mut KernelStats,
+    first: u64,
+    bytes: u64,
+    is_store: bool,
+    faults: Option<&mut BlockFaults>,
+) -> u64 {
+    assert!(
+        (1..=4 * WARP as u64).contains(&bytes),
+        "a warp span of {bytes} B is not 1 to 128 B"
+    );
+    let last = first + bytes - 1;
+    let (line_shift, sector_shift) = l1.shifts();
+    debug_assert_eq!(sector_shift, dev.sector_bytes.trailing_zeros());
+    let txns = (last >> sector_shift) - (first >> sector_shift) + 1;
+    count_request(stats, Space::Global, is_store, txns);
+    let lines = span_lines(first, last, line_shift, sector_shift);
+    route_lines(l1, sink, stats, lines, is_store, faults);
+    txns
+}
+
+/// The lines of ascending, distinct `sectors`, each with the mask of its
+/// sectors among them, ascending.
+fn sector_lines(
+    sectors: &[u64],
+    line_shift: u32,
+    sector_shift: u32,
+) -> impl Iterator<Item = (u64, u8)> + '_ {
+    let line_mask = (1u64 << line_shift) - 1;
+    let mut rest = sectors;
+    std::iter::from_fn(move || {
+        let line = rest.first()? & !line_mask;
+        let mut bits = 0u8;
+        while let Some((&s, tail)) = rest.split_first() {
+            if s & !line_mask != line {
+                break;
+            }
+            bits |= 1 << ((s & line_mask) >> sector_shift);
+            rest = tail;
+        }
+        Some((line, bits))
+    })
+}
+
+/// The lines the byte span `[first, last]` touches, ascending, each with
+/// the mask of its sectors the span touches: sectors `lo..=hi` of a line
+/// are the bits `(2 << hi) − (1 << lo)`.
+fn span_lines(
+    first: u64,
+    last: u64,
+    line_shift: u32,
+    sector_shift: u32,
+) -> impl Iterator<Item = (u64, u8)> {
+    let top = (1u64 << (line_shift - sector_shift)) - 1;
+    let (first_line, last_line) = (first >> line_shift, last >> line_shift);
+    (first_line..last_line + 1).map(move |l| {
+        let lo = if l == first_line {
+            (first >> sector_shift) & top
+        } else {
+            0
+        };
+        let hi = if l == last_line {
+            (last >> sector_shift) & top
+        } else {
+            top
+        };
+        (l << line_shift, ((2u64 << hi) - (1u64 << lo)) as u8)
+    })
+}
+
+/// Send a warp access's `lines` (ascending, each with its sector mask)
+/// through the L1 into `sink`. Dispatches on the sink variant, and on
+/// whether faults are armed, once per warp access, so the per-line loop of
+/// [`drive_lines`] is monomorphic over its emit closure.
+fn route_lines(
+    l1: &mut SectoredCache,
+    sink: &mut L2Sink<'_>,
+    stats: &mut KernelStats,
+    lines: impl Iterator<Item = (u64, u8)>,
+    is_store: bool,
+    mut faults: Option<&mut BlockFaults>,
+) {
+    let (_, shift) = l1.shifts();
     match sink {
-        L2Sink::Inline(l2) => drive_sectors(l1, stats, sectors, is_store, faults, |st, s| {
-            l2_sector_access(l2, st, s, is_store)
+        // The L1 and L2 are separate caches, so after a line's L1 probe its
+        // L2-bound sectors reach the L2 in one probe of their own: each
+        // cache still sees its accesses in the same order.
+        L2Sink::Inline(l2) if faults.is_none() => {
+            drive_lines(l1, stats, lines, is_store, |st, line, bits| {
+                l2_line_access(l2, st, line, bits, is_store)
+            })
+        }
+        // Fault fates take the L2-bound sectors one at a time, ascending,
+        // as does the deferred trace.
+        L2Sink::Inline(l2) => drive_lines(l1, stats, lines, is_store, |st, line, bits| {
+            for s in line_sectors(line, bits, shift) {
+                for _ in 0..fated_copies(&mut faults) {
+                    l2_sector_access(l2, st, s, is_store);
+                }
+            }
         }),
-        L2Sink::Deferred(trace) => drive_sectors(l1, stats, sectors, is_store, faults, |_, s| {
-            trace.push(s, is_store)
+        L2Sink::Deferred(trace) => drive_lines(l1, stats, lines, is_store, |_, line, bits| {
+            for s in line_sectors(line, bits, shift) {
+                for _ in 0..fated_copies(&mut faults) {
+                    trace.push(s, is_store);
+                }
+            }
         }),
     }
-    txns
+}
+
+/// How many copies of the next L2-bound sector reach the L2: one, or as
+/// many as the fate drawn for it when faults are armed.
+fn fated_copies(faults: &mut Option<&mut BlockFaults>) -> u32 {
+    match faults.as_deref_mut().map(|f| f.l2_sector()) {
+        None | Some(SectorFate::Deliver) => 1,
+        Some(SectorFate::Drop) => 0,
+        Some(SectorFate::Duplicate) => 2,
+    }
+}
+
+/// The sector addresses `bits` of the line at `line`, ascending.
+fn line_sectors(line: u64, bits: u8, sector_shift: u32) -> impl Iterator<Item = u64> {
+    let mut rest = bits;
+    std::iter::from_fn(move || {
+        if rest == 0 {
+            return None;
+        }
+        let i = rest.trailing_zeros() as u64;
+        rest &= rest - 1;
+        Some(line | i << sector_shift)
+    })
 }
 
 /// The pure prefix of [`warp_access`]: coalesce a warp's lane addresses and
@@ -198,7 +337,12 @@ fn coalesce_counted<'b>(
             "inactive-mask lanes contributed sectors to a warp access"
         );
     }
-    let txns = n as u64;
+    count_request(stats, space, is_store, n as u64);
+    &buf[..n]
+}
+
+/// Count one warp request of `txns` transactions for `space`.
+fn count_request(stats: &mut KernelStats, space: Space, is_store: bool, txns: u64) {
     match (space, is_store) {
         (Space::Global, false) => {
             stats.gld_requests += 1;
@@ -217,49 +361,57 @@ fn coalesce_counted<'b>(
             stats.local_st_transactions += txns;
         }
     }
-    &buf[..n]
 }
 
-/// Classify `sectors` against the per-block L1 and forward every L2-bound
-/// sector — each store sector (write-through L1), each load miss — through
-/// the fault filter into `emit`. Generic over the emit target so both sink
-/// variants get their own fully inlined loop.
-fn drive_sectors<E>(
+/// Classify each of `lines` (a line address and a sector mask, ascending)
+/// against the per-block L1 in one probe, and hand the line's L2-bound
+/// sectors — every store sector (write-through L1), every load miss — to
+/// `emit` as a line address and a sector mask. Generic over the emit
+/// target so each sink gets its own fully inlined loop.
+fn drive_lines<E>(
     l1: &mut SectoredCache,
     stats: &mut KernelStats,
-    sectors: &[u64],
+    lines: impl Iterator<Item = (u64, u8)>,
     is_store: bool,
-    mut faults: Option<&mut BlockFaults>,
     mut emit: E,
 ) where
-    E: FnMut(&mut KernelStats, u64),
+    E: FnMut(&mut KernelStats, u64, u8),
 {
-    for &sector in sectors {
-        if is_store {
-            // L1 is write-through: the sector is forwarded to L2 either way.
-            let _ = l1.access(sector, true);
+    for (line, bits) in lines {
+        let hits = l1.access_line(line, bits, is_store);
+        let forward = if is_store {
+            // L1 is write-through: every sector is forwarded to L2.
+            bits
         } else {
-            match l1.access(sector, false) {
-                Access::Hit => {
-                    stats.l1_hit_sectors += 1;
-                    continue;
-                }
-                Access::SectorMiss | Access::LineMiss => {}
-            }
-        }
-        let fate = match faults.as_deref_mut() {
-            Some(f) => f.l2_sector(),
-            None => SectorFate::Deliver,
+            stats.l1_hit_sectors += hits.count_ones() as u64;
+            bits & !hits
         };
-        match fate {
-            SectorFate::Deliver => emit(stats, sector),
-            SectorFate::Drop => {}
-            SectorFate::Duplicate => {
-                emit(stats, sector);
-                emit(stats, sector);
-            }
+        if forward != 0 {
+            emit(stats, line, forward);
         }
     }
+}
+
+/// [`l2_sector_access`] for the sectors `bits` of one line, in one probe:
+/// the same counters and L2 state as one call per sector, ascending.
+pub(crate) fn l2_line_access(
+    l2: &mut SectoredCache,
+    stats: &mut KernelStats,
+    line: u64,
+    bits: u8,
+    is_store: bool,
+) {
+    let write_backs_before = l2.evicted_dirty_sectors;
+    let n = bits.count_ones() as u64;
+    let hits = l2.access_line(line, bits, is_store).count_ones() as u64;
+    stats.l2_accesses += n;
+    stats.l2_hit_sectors += hits;
+    if !is_store {
+        // Full-sector store misses allocate in L2 without a DRAM fetch;
+        // load misses fill from DRAM.
+        stats.dram_read_sectors += n - hits;
+    }
+    stats.dram_write_sectors += l2.evicted_dirty_sectors - write_backs_before;
 }
 
 /// Classify one sector against the launch-wide L2, updating L2 hit/access
@@ -370,6 +522,24 @@ mod tests {
             space,
             None,
         );
+    }
+
+    #[test]
+    fn span_lines_match_the_coalescers_lines() {
+        // Every run start within two lines, every run length, on lines of
+        // 1, 2, 4 and 8 sectors of 32 B.
+        for line_shift in 5..=8 {
+            for first in (0x1000u64..0x1000 + 512).step_by(4) {
+                for n in 1..=WARP as u64 {
+                    let a: [u64; WARP] = std::array::from_fn(|l| first + l as u64 * 4);
+                    let mut buf = [0; 2 * WARP];
+                    let k = coalesce_into(&a, LaneMask::first(n as usize), 4, 32, &mut buf);
+                    let want: Vec<_> = sector_lines(&buf[..k], line_shift, 5).collect();
+                    let got: Vec<_> = span_lines(first, first + 4 * n - 1, line_shift, 5).collect();
+                    assert_eq!(got, want, "line 2^{line_shift} first {first:#x} n {n}");
+                }
+            }
+        }
     }
 
     #[test]

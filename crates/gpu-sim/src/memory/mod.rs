@@ -8,7 +8,7 @@ pub mod hierarchy;
 pub mod shared;
 
 pub use cache::{Access, CachePolicy, SectoredCache};
-pub use coalescer::{coalesce, coalesce_into, CoalesceResult, SectorBuf};
+pub use coalescer::{coalesce, coalesce_into, CoalesceResult, LaneRun, SectorBuf};
 pub use global::{BufId, GlobalMem};
 pub use hierarchy::{phantom_access, Space};
 pub use shared::SharedMem;

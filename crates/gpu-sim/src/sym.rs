@@ -221,22 +221,32 @@ fn sectors_from_form(base: i128, stride: i64, mask: LaneMask, sector_bytes: u64)
 
 /// Closed-form pass count from affine coefficients: max distinct words per
 /// bank over `{base + stride·l | l ∈ mask}`, mirroring
-/// [`crate::memory::SharedMem::passes`] exactly.
+/// [`crate::memory::SharedMem::passes`] exactly for any bank count. Sorted
+/// `(bank, word)` keys on the stack put each bank's words side by side;
+/// the count is the longest same-bank run of distinct words. At least 1.
 fn passes_from_form(base: i128, stride: i64, mask: LaneMask, banks: u32) -> u64 {
-    let mut per_bank: [Vec<i128>; WARP] = std::array::from_fn(|_| Vec::new());
+    let mut keys = [(0i128, 0i128); WARP];
+    let mut n = 0;
     for l in mask.lanes() {
         let w = base + stride as i128 * l as i128;
-        let bank = (w.rem_euclid(banks as i128)) as usize;
-        if !per_bank[bank].contains(&w) {
-            per_bank[bank].push(w);
+        keys[n] = (w.rem_euclid(banks as i128), w);
+        n += 1;
+    }
+    let keys = &mut keys[..n];
+    keys.sort_unstable();
+    let (mut run, mut most) = (1, 1);
+    for pair in keys.windows(2) {
+        if pair[1] == pair[0] {
+            continue;
+        }
+        if pair[1].0 == pair[0].0 {
+            run += 1;
+            most = most.max(run);
+        } else {
+            run = 1;
         }
     }
-    per_bank
-        .iter()
-        .map(|v| v.len() as u64)
-        .max()
-        .unwrap_or(1)
-        .max(1)
+    most
 }
 
 /// Splitmix64 finalizer — the digest step of the stream hashes.
@@ -626,17 +636,43 @@ mod tests {
     #[test]
     fn closed_form_passes_match_shared_memory_model() {
         use crate::memory::SharedMem;
-        let smem = SharedMem::new(4096, 32);
-        for &stride in &[0i64, 1, 2, 4, 8, 16, 32, 33] {
-            for mask in [
-                LaneMask::ALL,
-                LaneMask::first(7),
-                LaneMask::from_fn(|l| l % 2 == 1),
-            ] {
-                let idx = crate::lane::VU::from_fn(|l| (stride * l as i64) as u32);
-                let measured = smem.passes(&idx, mask);
-                let predicted = passes_from_form(0, stride, mask, 32);
-                assert_eq!(predicted, measured, "stride {stride} mask {mask:?}");
+        // Every bank count from 1 to 257 (more than 32 banks used to
+        // overflow a 32-entry table), with named and random bases, strides
+        // and masks.
+        let mut rng = 0x5EED_u64;
+        let mut next = move || {
+            rng = mix64(rng);
+            rng
+        };
+        for banks in 1..=257u32 {
+            let smem = SharedMem::new(1 << 16, banks as usize);
+            let mut cases = vec![(0u32, 1i64, LaneMask::ALL), (40, 1, LaneMask::ALL)];
+            for &stride in &[0i64, 1, 2, 4, 8, 16, 32, 33] {
+                for mask in [
+                    LaneMask::ALL,
+                    LaneMask::first(7),
+                    LaneMask::from_fn(|l| l % 2 == 1),
+                ] {
+                    cases.push((0, stride, mask));
+                }
+            }
+            for _ in 0..8 {
+                let r = next();
+                let mask = LaneMask(if r % 3 == 0 {
+                    u32::MAX
+                } else {
+                    (r >> 32) as u32
+                });
+                cases.push(((r >> 8) as u32 % 4096, (r >> 20) as i64 % 80, mask));
+            }
+            for (base, stride, mask) in cases {
+                let idx = crate::lane::VU::from_fn(|l| (base as i64 + stride * l as i64) as u32);
+                let measured = smem.passes(&idx, mask).max(1);
+                let predicted = passes_from_form(base as i128, stride, mask, banks);
+                assert_eq!(
+                    predicted, measured,
+                    "banks {banks} base {base} stride {stride} mask {mask:?}"
+                );
             }
         }
     }

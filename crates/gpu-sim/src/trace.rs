@@ -22,6 +22,7 @@
 //! page-table memory across blocks *and* launches.
 
 use crate::memory::global::{BufId, GlobalMem};
+use crate::memory::LaneRun;
 
 /// Sector granularity of the trace encoding: addresses are recorded in
 /// 32-byte units (the hardware sector size every device model uses), which
@@ -437,6 +438,15 @@ impl GlobalView<'_> {
         }
     }
 
+    /// Base byte address of buffer `id`.
+    #[inline]
+    pub(crate) fn buf_base(&self, id: BufId) -> u64 {
+        match self {
+            GlobalView::Direct(mem) => mem.buf_base(id),
+            GlobalView::Overlay { base, .. } => base.buf_base(id),
+        }
+    }
+
     /// Fill `addrs` with the byte addresses of the active lanes' elements.
     /// The buffer base is resolved once for the whole warp.
     #[inline]
@@ -447,10 +457,7 @@ impl GlobalView<'_> {
         mask: crate::lane::LaneMask,
         addrs: &mut [u64; crate::lane::WARP],
     ) {
-        let base = match self {
-            GlobalView::Direct(mem) => mem.buf_base(id),
-            GlobalView::Overlay { base, .. } => base.buf_base(id),
-        };
+        let base = self.buf_base(id);
         for l in mask.lanes() {
             addrs[l] = base + idx.lane(l) as u64 * 4;
         }
@@ -522,6 +529,53 @@ impl GlobalView<'_> {
                 })
             }
         }
+    }
+
+    /// [`GlobalView::read_lanes`] for a lane run of `idx` under `mask`: in
+    /// the [`GlobalView::Direct`] view an in-bounds run is one bounds check
+    /// and one copy. The overlay view, and a run that leaves its buffer,
+    /// read lane by lane, so values and panic text are unchanged.
+    #[inline]
+    pub(crate) fn read_run(
+        &self,
+        id: BufId,
+        idx: &crate::lane::VU,
+        mask: crate::lane::LaneMask,
+        run: LaneRun,
+    ) -> crate::lane::VF {
+        use crate::lane::{LaneVec, WARP};
+        if let GlobalView::Direct(mem) = self {
+            let start = run.start as usize;
+            if let Some(src) = mem.download(id).get(start..start + run.n) {
+                let mut out = [0.0; WARP];
+                out[run.lo..run.lo + run.n].copy_from_slice(src);
+                return LaneVec(out);
+            }
+        }
+        self.read_lanes(id, idx, mask)
+    }
+
+    /// [`GlobalView::write_lanes`] for a lane run, with the same fast path
+    /// and fallbacks as [`GlobalView::read_run`]. A run's elements are
+    /// distinct, so the lowest-lane-wins order does not arise.
+    #[inline]
+    pub(crate) fn write_run(
+        &mut self,
+        id: BufId,
+        idx: &crate::lane::VU,
+        val: &crate::lane::VF,
+        mask: crate::lane::LaneMask,
+        run: LaneRun,
+    ) {
+        if let GlobalView::Direct(mem) = self {
+            let start = run.start as usize;
+            if start + run.n <= mem.len(id) {
+                mem.buf_data_mut(id)[start..start + run.n]
+                    .copy_from_slice(&val.0[run.lo..run.lo + run.n]);
+                return;
+            }
+        }
+        self.write_lanes(id, idx, val, mask)
     }
 
     /// Warp-batched element write in descending lane order, so two active

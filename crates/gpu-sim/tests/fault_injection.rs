@@ -4,8 +4,8 @@
 //! engine-independent), and `try_launch` types every failure mode.
 
 use memconv_gpusim::{
-    DeviceConfig, FaultKind, FaultLog, FaultPlan, GpuSim, KernelStats, LaneMask, LaunchConfig,
-    LaunchError, LaunchMode, VF, VU,
+    AnalysisConfig, DeviceConfig, FaultKind, FaultLog, FaultPlan, GpuSim, KernelStats, LaneMask,
+    LaunchConfig, LaunchError, LaunchMode, VF, VU,
 };
 
 const N: u32 = 256;
@@ -403,6 +403,48 @@ fn successful_try_launch_matches_launch_exactly() {
         (stats, sim.mem.download(bo).to_vec())
     };
     assert_eq!(run(false), run(true));
+}
+
+/// Lane runs take the span path in plain launches; hazard analysis keeps
+/// every access on the per-lane path. With bit flips and L2 sector drops
+/// and duplicates armed, both give the same counters, the same corrupted
+/// outputs and the same fault log, in both engines: the span path draws
+/// the faults the per-lane path draws, in the same order.
+#[test]
+fn lane_runs_draw_the_faults_of_the_per_lane_path() {
+    let plan = FaultPlan::new(11)
+        .with_rate(FaultKind::GlobalBitFlip, 3)
+        .with_rate(FaultKind::L2SectorDrop, 2)
+        .with_rate(FaultKind::L2SectorDup, 3);
+    let run = |mode: LaunchMode, analyzed: bool| {
+        let mut sim = sim_with(mode, Some(plan));
+        if analyzed {
+            sim.set_analysis(Some(AnalysisConfig::default()));
+        }
+        let data: Vec<f32> = (0..N + 40).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let bi = sim.mem.upload(&data);
+        let bo = sim.mem.alloc(N as usize + 40);
+        let stats = sim
+            .try_launch(&LaunchConfig::linear(N / 64, 64), |blk| {
+                blk.each_warp(|w| {
+                    let tid = w.global_tid_x();
+                    // A misaligned run over lines, a partial run, and a
+                    // scatter (never a run) between them.
+                    let a = w.gld(bi, &(tid + 3), LaneMask::ALL);
+                    let b = w.gld(bi, &(tid + 37), LaneMask::first(29));
+                    let c = w.gld(bi, &VU::from_fn(|l| tid.lane(l) ^ 5), LaneMask::ALL);
+                    let r = w.fma(a, b, c);
+                    w.gst(bo, &(tid + 5), &r, LaneMask::from_fn(|l| l >= 2));
+                });
+            })
+            .unwrap();
+        (stats, sim.mem.download(bo).to_vec(), sim.take_fault_log())
+    };
+    for mode in [LaunchMode::Sequential, LaunchMode::Parallel] {
+        let (stats, out, log) = run(mode, false);
+        assert!(log.count(FaultKind::GlobalBitFlip) > 0 && log.count(FaultKind::L2SectorDrop) > 0);
+        assert_eq!((stats, out, log), run(mode, true), "{mode:?}");
+    }
 }
 
 /// Pin the fleet's device-seed derivation: the mapping is stable across

@@ -1,12 +1,19 @@
 //! Property-based tests of the simulator's structural invariants
 //! (DESIGN.md §13).
 
+use memconv_gpusim::faults::{BlockFaults, SectorFate};
 use memconv_gpusim::lane::{LaneMask, LaneVec, VF, VU, WARP};
 use memconv_gpusim::memory::cache::{Access, CachePolicy, SectoredCache};
 use memconv_gpusim::memory::coalescer::{coalesce, coalesce_into};
-use memconv_gpusim::memory::SharedMem;
+use memconv_gpusim::memory::hierarchy::{
+    flush_l2, l2_sector_access, new_l1, new_l2, warp_access, warp_access_span, L2Sink, Space,
+};
+use memconv_gpusim::memory::{LaneRun, SharedMem};
 use memconv_gpusim::shuffle;
-use memconv_gpusim::SampleMode;
+use memconv_gpusim::trace::BlockTrace;
+use memconv_gpusim::{
+    DeviceConfig, FaultKind, FaultPlan, GpuSim, KernelStats, LaunchConfig, LaunchError, SampleMode,
+};
 use proptest::prelude::*;
 
 // ---- reference algorithms -------------------------------------------------
@@ -357,6 +364,183 @@ fn filter_walk_oracle(mode: SampleMode, total: u64) -> Vec<u64> {
         SampleMode::Auto(_) => unreachable!("resolved before the walk"),
     };
     (0..total).filter(|&l| selects(l)).collect()
+}
+
+// ---- the global-memory path before lane runs and line probes -------------
+//
+// Kept as oracles: the warp access that coalesced lane by lane and drove
+// the L1 one sector at a time (each L2-bound sector through the fault
+// filter into the sink as it went), and the per-lane reads and writes of
+// the sequential engine's global view.
+
+/// The definition of a lane run, by plain loops: active lanes `lo..lo+n`
+/// with no holes, indices `start + j` with no `u32` wrap.
+fn lane_run_oracle(idx: &VU, mask: LaneMask) -> Option<(usize, usize, u32)> {
+    let lanes: Vec<usize> = active(mask).collect();
+    let (&lo, &hi) = (lanes.first()?, lanes.last()?);
+    if hi - lo + 1 != lanes.len() {
+        return None;
+    }
+    let start = idx.lane(lo) as u64;
+    let consecutive = lanes
+        .iter()
+        .all(|&l| idx.lane(l) as u64 == start + (l - lo) as u64);
+    consecutive.then_some((lo, lanes.len(), start as u32))
+}
+
+/// `warp_access` as it was: per-lane coalescing, then one L1 `access` per
+/// sector, forwarding each L2-bound sector as it goes.
+#[allow(clippy::too_many_arguments)]
+fn warp_access_oracle(
+    dev: &DeviceConfig,
+    l1: &mut SectoredCache,
+    sink: &mut L2Sink<'_>,
+    stats: &mut KernelStats,
+    addrs: &[u64; WARP],
+    mask: LaneMask,
+    is_store: bool,
+    mut faults: Option<&mut BlockFaults>,
+) -> u64 {
+    if mask.is_empty() {
+        return 0;
+    }
+    let sectors = coalesce_oracle(addrs, mask, 4, dev.sector_bytes as u64);
+    let txns = sectors.len() as u64;
+    if is_store {
+        stats.gst_requests += 1;
+        stats.gst_transactions += txns;
+    } else {
+        stats.gld_requests += 1;
+        stats.gld_transactions += txns;
+    }
+    for &sector in &sectors {
+        if is_store {
+            let _ = l1.access(sector, true);
+        } else if l1.access(sector, false) == Access::Hit {
+            stats.l1_hit_sectors += 1;
+            continue;
+        }
+        let copies = match faults.as_deref_mut().map(|f| f.l2_sector()) {
+            None | Some(SectorFate::Deliver) => 1,
+            Some(SectorFate::Drop) => 0,
+            Some(SectorFate::Duplicate) => 2,
+        };
+        for _ in 0..copies {
+            match sink {
+                L2Sink::Inline(l2) => l2_sector_access(l2, stats, sector, is_store),
+                L2Sink::Deferred(trace) => trace.push(sector, is_store),
+            }
+        }
+    }
+    txns
+}
+
+/// The sequential engine's per-lane read: ascending lanes, inactive lanes
+/// 0.0, the first out-of-bounds lane panics with its index.
+fn read_lanes_oracle(data: &[f32], buf: usize, idx: &VU, mask: LaneMask) -> Result<VF, String> {
+    let mut out = VF::splat(0.0);
+    for l in active(mask) {
+        let i = idx.lane(l);
+        match data.get(i as usize) {
+            Some(&v) => out.set_lane(l, v),
+            None => {
+                return Err(format!(
+                    "device read OOB: buffer {buf} has {} elems, index {i}",
+                    data.len()
+                ))
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// The sequential engine's per-lane write: descending lanes (the lowest
+/// lane wins), stopping at the first out-of-bounds lane met.
+fn write_lanes_oracle(
+    data: &mut [f32],
+    buf: usize,
+    idx: &VU,
+    val: &VF,
+    mask: LaneMask,
+) -> Result<(), String> {
+    let len = data.len();
+    for l in (0..WARP).rev().filter(|&l| mask.get(l)) {
+        let i = idx.lane(l);
+        match data.get_mut(i as usize) {
+            Some(slot) => *slot = val.lane(l),
+            None => {
+                return Err(format!(
+                    "device write OOB: buffer {buf} has {len} elems, index {i}"
+                ))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One warp access of a random shape, relative to a buffer of `len`
+/// elements: a lane run (any `lo` and `n`, any start, ending at or one past
+/// the buffer end, or near `u32::MAX`), a run with one lane off by one or a
+/// hole in its mask, a wrapping sequence, or a scatter.
+#[derive(Debug, Clone, Copy)]
+struct WarpShape {
+    idx: VU,
+    mask: LaneMask,
+}
+
+fn warp_shape(r: u64, len: u32) -> WarpShape {
+    let mut x = r;
+    let mut next = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 16
+    };
+    let lo = (next() % WARP as u64) as usize;
+    let n = 1 + (next() % (WARP - lo) as u64) as usize;
+    let start = match next() % 6 {
+        0 => len.saturating_sub(n as u32),     // ends at the buffer end
+        1 => len.saturating_sub(n as u32) + 1, // one past it
+        2 => u32::MAX - (n as u32 - 1),        // ends at u32::MAX
+        _ => (next() % (len as u64 + 8)) as u32,
+    };
+    let junk = next();
+    let mut idx = VU::from_fn(|l| {
+        if (lo..lo + n).contains(&l) {
+            start.wrapping_add((l - lo) as u32)
+        } else {
+            (junk >> (l % 32)) as u32 % (len + 64)
+        }
+    });
+    let mut mask = LaneMask((((1u64 << n) - 1) << lo) as u32);
+    match next() % 8 {
+        0 if n >= 2 => {
+            // one lane off by one
+            let l = lo + (next() % n as u64) as usize;
+            idx.set_lane(
+                l,
+                idx.lane(l)
+                    .wrapping_add(if next() % 2 == 0 { 1 } else { u32::MAX }),
+            );
+        }
+        1 if n >= 3 => {
+            // a hole in the mask
+            let l = lo + 1 + (next() % (n as u64 - 2)) as usize;
+            mask = LaneMask(mask.0 & !(1 << l));
+        }
+        2 => {
+            // a sequence that wraps past u32::MAX
+            let s = u32::MAX - (next() % n as u64) as u32;
+            idx = VU::from_fn(|l| s.wrapping_add(l as u32));
+            mask = LaneMask::ALL;
+        }
+        3 => {
+            idx = VU::from_fn(|l| ((junk.rotate_left(l as u32 * 5)) % (len as u64 + 4)) as u32);
+            mask = LaneMask((next() >> 8) as u32);
+        }
+        _ => {}
+    }
+    WarpShape { idx, mask }
 }
 
 /// A random cache geometry: power-of-two lines of 16–256 B holding 1 to 8
@@ -875,5 +1059,218 @@ fn mul_add_edge_cases_round_once() {
             f32::MAX,
             "MAX·2 overflows but the sum does not"
         );
+    }
+}
+
+/// The device geometries the global-path checks run on: the tiny device,
+/// one with a non-power-of-two L1 set count and a direct-mapped L1, and
+/// ones with 2- and 8-sector lines.
+fn global_path_device(pick: u64) -> DeviceConfig {
+    let mut dev = DeviceConfig::test_tiny();
+    match pick % 4 {
+        0 => {}
+        1 => {
+            (dev.l1_bytes, dev.l1_ways) = (3 * 512, 1);
+            (dev.l2_bytes, dev.l2_ways) = (3 * 1024, 2);
+        }
+        2 => {
+            dev.line_bytes = 64;
+            (dev.l1_bytes, dev.l1_ways) = (1024, 2);
+        }
+        _ => {
+            dev.line_bytes = 256;
+            (dev.l1_bytes, dev.l1_ways) = (4096, 2);
+            (dev.l2_bytes, dev.l2_ways) = (16 * 1024, 4);
+        }
+    }
+    dev
+}
+
+/// A stream of warp accesses over four buffers of `len` elements.
+fn warp_ops(raw: &[u64], len: u32) -> Vec<(WarpShape, u64, bool)> {
+    raw.iter()
+        .map(|&r| {
+            let base = (1u64 << 32) + (r >> 60) % 4 * 4096;
+            (warp_shape(r, len), base, (r >> 58) & 1 == 1)
+        })
+        .collect()
+}
+
+/// Byte addresses of the active lanes of `shape` in the buffer at `base`.
+fn shape_addrs(shape: &WarpShape, base: u64) -> [u64; WARP] {
+    std::array::from_fn(|l| {
+        if shape.mask.get(l) {
+            base + shape.idx.lane(l) as u64 * 4
+        } else {
+            0
+        }
+    })
+}
+
+/// Read every sector in `sectors` from both caches in turn, asserting the
+/// same classification each time: equal contents, and an equal LRU order
+/// wherever a probe evicts.
+fn probe_equal(a: &mut SectoredCache, b: &mut SectoredCache, sectors: &[u64]) {
+    for &s in sectors {
+        assert_eq!(a.access(s, false), b.access(s, false), "probe {s:#x}");
+    }
+    assert_eq!(a.evicted_dirty_sectors, b.evicted_dirty_sectors);
+    assert_eq!(a.resident_sectors(), b.resident_sectors());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One `access_line` probe equals one per-sector access per set bit,
+    /// ascending, of the `Vec`-of-sets cache: same hits, write-backs and
+    /// residency after every step, and the same state when both caches are
+    /// probed afterwards. Random geometries, both policies, dirty evictions
+    /// and no-write-allocate misses included.
+    #[test]
+    fn line_probes_match_one_access_per_sector(geometry in arb_cache_geometry(),
+                                               raw in prop::collection::vec(any::<u64>(), 1..200)) {
+        let (cap, ways, line, sector, policy) = geometry;
+        let mut fast = SectoredCache::new(cap, ways, line, sector, policy);
+        let mut oracle = OracleCache::new(cap, ways, line, sector, policy);
+        let per_line = (line / sector) as u32;
+        let all = if per_line == 8 { u8::MAX } else { (1u8 << per_line) - 1 };
+        let mut touched = Vec::new();
+        for (step, &r) in raw.iter().enumerate() {
+            if r % 23 == 0 {
+                fast.flush();
+                oracle.flush();
+                continue;
+            }
+            let line_addr = (r >> 8) % (3 * 40 * 8) * line as u64;
+            let bits = (r >> 40) as u8 & all;
+            let is_write = (r >> 50) & 1 == 1;
+            let hits = fast.access_line(line_addr, bits, is_write);
+            let mut want = 0u8;
+            for i in 0..per_line {
+                if bits & 1 << i != 0 {
+                    let addr = line_addr + (i * sector as u32) as u64;
+                    touched.push(addr);
+                    if oracle.access(addr, is_write) == Access::Hit {
+                        want |= 1 << i;
+                    }
+                }
+            }
+            prop_assert_eq!(hits, want, "step {} line {:#x} bits {:#010b} write {}", step, line_addr, bits, is_write);
+            prop_assert_eq!(fast.evicted_dirty_sectors, oracle.evicted_dirty_sectors);
+            prop_assert_eq!(fast.resident_sectors(), oracle.resident_sectors());
+        }
+        for &s in &touched {
+            prop_assert_eq!(fast.access(s, false), oracle.access(s, false), "probe {:#x}", s);
+        }
+        fast.flush();
+        oracle.flush();
+        prop_assert_eq!(fast.evicted_dirty_sectors, oracle.evicted_dirty_sectors);
+    }
+
+    /// The warp access path — lane runs through `warp_access_span`, every
+    /// other shape through `warp_access`, both probing each cache once per
+    /// line — equals per-lane coalescing with one L1 access per sector:
+    /// equal counters, equal deferred traces, equal L1 and L2 state, with
+    /// and without L2 sector faults armed. `LaneRun::of` finds exactly the
+    /// runs of the plain-loop definition.
+    #[test]
+    fn warp_accesses_match_per_sector_drive(pick in any::<u64>(), len in 1u32..400,
+                                            raw in prop::collection::vec(any::<u64>(), 1..48),
+                                            armed in any::<bool>(), deferred in any::<bool>()) {
+        let dev = global_path_device(pick);
+        let plan = FaultPlan::new(pick)
+            .with_rate(FaultKind::L2SectorDrop, 3)
+            .with_rate(FaultKind::L2SectorDup, 4);
+        let mut faults = armed.then(|| BlockFaults::new(&plan, 1, pick % 7));
+        let mut oracle_faults = armed.then(|| BlockFaults::new(&plan, 1, pick % 7));
+        let (mut l1, mut l2) = (new_l1(&dev), new_l2(&dev));
+        let (mut ol1, mut ol2) = (new_l1(&dev), new_l2(&dev));
+        let (mut trace, mut oracle_trace) = (BlockTrace::new(), BlockTrace::new());
+        let (mut st, mut ost) = (KernelStats::default(), KernelStats::default());
+        let mut touched = Vec::new();
+        for (shape, base, is_store) in warp_ops(&raw, len) {
+            let run = LaneRun::of(&shape.idx, shape.mask);
+            prop_assert_eq!(run.map(|r| (r.lo, r.n, r.start)), lane_run_oracle(&shape.idx, shape.mask));
+            let addrs = shape_addrs(&shape, base);
+            touched.extend(coalesce_oracle(&addrs, shape.mask, 4, dev.sector_bytes as u64));
+            let (mut sink, mut oracle_sink) = if deferred {
+                (L2Sink::Deferred(&mut trace), L2Sink::Deferred(&mut oracle_trace))
+            } else {
+                (L2Sink::Inline(&mut l2), L2Sink::Inline(&mut ol2))
+            };
+            let txns = match run {
+                Some(r) => warp_access_span(&dev, &mut l1, &mut sink, &mut st,
+                                            base + r.start as u64 * 4, r.n as u64 * 4, is_store,
+                                            faults.as_mut()),
+                None => warp_access(&dev, &mut l1, &mut sink, &mut st, &addrs, shape.mask,
+                                    is_store, Space::Global, faults.as_mut()),
+            };
+            let want = warp_access_oracle(&dev, &mut ol1, &mut oracle_sink, &mut ost, &addrs,
+                                          shape.mask, is_store, oracle_faults.as_mut());
+            prop_assert_eq!(txns, want);
+            prop_assert_eq!(&st, &ost);
+        }
+        prop_assert_eq!(trace.iter().collect::<Vec<_>>(), oracle_trace.iter().collect::<Vec<_>>());
+        probe_equal(&mut l1, &mut ol1, &touched);
+        probe_equal(&mut l2, &mut ol2, &touched);
+        flush_l2(&mut l2, &mut st);
+        flush_l2(&mut ol2, &mut ost);
+        prop_assert_eq!(&st, &ost);
+        if let (Some(f), Some(o)) = (&faults, &oracle_faults) {
+            prop_assert_eq!(f.log(), o.log());
+        }
+    }
+
+    /// A launch's `gld` and `gst` read the values, write the memory, count
+    /// the counters and panic with the text of the per-lane global view and
+    /// per-sector drive, for runs and non-runs alike: runs ending at the
+    /// buffer end or one element past it, near `u32::MAX`, misaligned,
+    /// straddling lines; lanes off by one; holes in the mask.
+    #[test]
+    fn warp_loads_and_stores_match_per_lane_oracles(pick in any::<u64>(), len in 1u32..300,
+                                                    out_len in 1u32..300, load in any::<u64>(),
+                                                    store in any::<u64>(),
+                                                    fill in prop::collection::vec(any::<u32>(), 300usize)) {
+        let dev = global_path_device(pick);
+        let data: Vec<f32> = (0..len as usize).map(|i| f32::from_bits(fill[i] >> 1)).collect();
+        let (ld, st_shape) = (warp_shape(load, len), warp_shape(store, out_len));
+        let val = VF::from_fn(|l| l as f32 + 0.5);
+        let mut sim = GpuSim::new(dev.clone());
+        let bi = sim.mem.upload(&data);
+        let bo = sim.mem.upload(&vec![-1.0; out_len as usize]);
+        let seen = std::sync::Mutex::new(None);
+        let got = sim.try_launch(&LaunchConfig::linear(1, 32), |blk| {
+            blk.each_warp(|w| {
+                let v = w.gld(bi, &ld.idx, ld.mask);
+                *seen.lock().unwrap() = Some(v.to_bits());
+                w.gst(bo, &st_shape.idx, &val, st_shape.mask);
+            })
+        });
+
+        let mut out = vec![-1.0; out_len as usize];
+        let want = read_lanes_oracle(&data, 0, &ld.idx, ld.mask).and_then(|v| {
+            write_lanes_oracle(&mut out, 1, &st_shape.idx, &val, st_shape.mask).map(|()| v)
+        });
+        match (got, want) {
+            (Ok(stats), Ok(v)) => {
+                prop_assert_eq!(seen.lock().unwrap().unwrap(), v.to_bits());
+                prop_assert_eq!(sim.mem.download(bo), out.as_slice());
+                let (mut l1, mut l2, mut ost) = (new_l1(&dev), new_l2(&dev), KernelStats::default());
+                let mut sink = L2Sink::Inline(&mut l2);
+                let base_i = sim.mem.addr(bi, 0);
+                let base_o = sim.mem.addr(bo, 0);
+                warp_access_oracle(&dev, &mut l1, &mut sink, &mut ost, &shape_addrs(&ld, base_i),
+                                   ld.mask, false, None);
+                warp_access_oracle(&dev, &mut l1, &mut sink, &mut ost,
+                                   &shape_addrs(&st_shape, base_o), st_shape.mask, true, None);
+                flush_l2(&mut l2, &mut ost);
+                let traffic = |s: &KernelStats| [s.gld_requests, s.gld_transactions, s.gst_requests,
+                    s.gst_transactions, s.l1_hit_sectors, s.l2_accesses, s.l2_hit_sectors,
+                    s.dram_read_sectors, s.dram_write_sectors];
+                prop_assert_eq!(traffic(&stats), traffic(&ost));
+            }
+            (Err(LaunchError::OutOfBounds(msg)), Err(want)) => prop_assert_eq!(msg, want),
+            (got, want) => prop_assert!(false, "launch {:?}, oracle {:?}", got.map(|_| ()), want.map(|_| ())),
+        }
     }
 }

@@ -9,7 +9,8 @@
 //! filter flip, `valid` output `OH = IH − FH + 1` unless explicit padding
 //! is given.
 
-#![forbid(unsafe_code)]
+// The one exception is the FMA dispatch of `nchw::conv_nchw_ref`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conv2d;

@@ -8,7 +8,9 @@ use memconv_tensor::{ConvGeometry, FilterBank, Tensor4};
 /// in[n][c][oy+r][ox+s] · w[f][c][r][s]` (valid padding, unit stride).
 ///
 /// Accumulation order is `c`-outer, then row-major over the filter — the
-/// order the simulated multi-channel kernels preserve.
+/// order the simulated multi-channel kernels preserve. Each `(n, f)` plane
+/// is computed tap by tap over whole output rows ([`nchw_plane`]), which
+/// keeps that per-output order and rounds each step once.
 pub fn conv_nchw_ref(input: &Tensor4, weights: &FilterBank) -> Tensor4 {
     let (n, c, ih, iw) = input.dims();
     assert_eq!(c, weights.channels(), "channel mismatch");
@@ -18,27 +20,95 @@ pub fn conv_nchw_ref(input: &Tensor4, weights: &FilterBank) -> Tensor4 {
     let fn_ = weights.num_filters();
 
     let plane = oh * ow;
+    let image = c * ih * iw;
+    let bank = c * fh * fw;
+    let shape = PlaneShape {
+        c,
+        iw,
+        fh,
+        fw,
+        oh,
+        ow,
+    };
     let mut data = vec![0.0f32; n * fn_ * plane];
     memconv_par::for_each_chunk_mut(&mut data, plane, |nf, out| {
         let in_n = nf / fn_;
         let f = nf % fn_;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0f32;
-                for ch in 0..c {
-                    for r in 0..fh {
-                        for s in 0..fw {
-                            acc = input
-                                .get(in_n, ch, oy + r, ox + s)
-                                .mul_add(weights.get(f, ch, r, s), acc);
-                        }
-                    }
-                }
-                out[oy * ow + ox] = acc;
-            }
-        }
+        let x = &input.as_slice()[in_n * image..(in_n + 1) * image];
+        let w = &weights.as_slice()[f * bank..(f + 1) * bank];
+        nchw_plane(x, w, shape, out);
     });
     Tensor4::from_vec(n, fn_, oh, ow, data).expect("shape by construction")
+}
+
+/// The dimensions [`nchw_plane`] works in.
+#[derive(Debug, Clone, Copy)]
+struct PlaneShape {
+    c: usize,
+    iw: usize,
+    fh: usize,
+    fw: usize,
+    oh: usize,
+    ow: usize,
+}
+
+/// One output plane of [`conv_nchw_ref`] into the zeroed `out`, from one
+/// image `x` (`C × IH × IW`) and one filter `w` (`C × FH × FW`). Loops
+/// run `c, r, s, oy` with the output row innermost, so every output still
+/// accumulates its taps `c`-outer and row-major, one fused multiply-add
+/// each. Runs on the host's FMA unit when it has one and on the portable
+/// body otherwise; both round once per tap, so the bits do not depend on
+/// the host.
+#[allow(unsafe_code)]
+fn nchw_plane(x: &[f32], w: &[f32], shape: PlaneShape, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: `nchw_plane_fma` needs only the `fma` target feature, and
+        // `is_x86_feature_detected!("fma")` just confirmed this CPU has it.
+        return unsafe { nchw_plane_fma(x, w, shape, out) };
+    }
+    nchw_plane_portable(x, w, shape, out);
+}
+
+/// The portable body of [`nchw_plane`]. Always inlined, so that inside
+/// `nchw_plane_fma` each `f32::mul_add` compiles to a hardware FMA.
+#[inline(always)]
+fn nchw_plane_portable(x: &[f32], w: &[f32], shape: PlaneShape, out: &mut [f32]) {
+    let PlaneShape {
+        c,
+        iw,
+        fh,
+        fw,
+        oh,
+        ow,
+    } = shape;
+    let ih = oh + fh - 1;
+    for ch in 0..c {
+        let x = &x[ch * ih * iw..(ch + 1) * ih * iw];
+        for r in 0..fh {
+            for s in 0..fw {
+                let tap = w[(ch * fh + r) * fw + s];
+                for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
+                    let start = (oy + r) * iw + s;
+                    for (o, &v) in out_row.iter_mut().zip(&x[start..start + ow]) {
+                        *o = v.mul_add(tap, *o);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`nchw_plane_portable`] compiled with the `fma` target feature.
+///
+/// # Safety
+///
+/// The running CPU must support the `fma` target feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(unsafe_code)]
+unsafe fn nchw_plane_fma(x: &[f32], w: &[f32], shape: PlaneShape, out: &mut [f32]) {
+    nchw_plane_portable(x, w, shape, out);
 }
 
 /// Geometry-general direct NCHW convolution: groups, stride, dilation and
@@ -120,6 +190,121 @@ mod tests {
     use super::*;
     use crate::conv2d::conv2d_ref;
     use memconv_tensor::generate::TensorRng;
+    use proptest::prelude::*;
+
+    /// The per-element loop [`conv_nchw_ref`] ran before it worked in
+    /// planes, kept as its oracle: one output at a time, taps `c`-outer and
+    /// row-major, each through `Tensor4::get` and one `f32::mul_add`.
+    fn per_element_oracle(input: &Tensor4, weights: &FilterBank) -> Tensor4 {
+        let (n, c, ih, iw) = input.dims();
+        let (fh, fw) = (weights.fh(), weights.fw());
+        let (oh, ow) = (ih - fh + 1, iw - fw + 1);
+        let fn_ = weights.num_filters();
+        Tensor4::from_fn(n, fn_, oh, ow, |in_n, f, oy, ox| {
+            let mut acc = 0.0f32;
+            for ch in 0..c {
+                for r in 0..fh {
+                    for s in 0..fw {
+                        acc = input
+                            .get(in_n, ch, oy + r, ox + s)
+                            .mul_add(weights.get(f, ch, r, s), acc);
+                    }
+                }
+            }
+            acc
+        })
+    }
+
+    /// A value of one of the classes a reference must round exactly:
+    /// signed zeros, subnormals, infinities, NaN, a few small integers whose
+    /// products cancel exactly, and moderate data.
+    fn class_value(r: u64) -> f32 {
+        let bits = (r >> 32) as u32;
+        match r % 8 {
+            0 => [0.0, -0.0][bits as usize % 2],
+            1 => f32::from_bits((bits & 0x807f_ffff) | 1),
+            2 => [f32::INFINITY, f32::NEG_INFINITY][bits as usize % 2],
+            3 if bits.is_multiple_of(4) => f32::NAN,
+            3 | 4 => [1.0, -1.0, 2.0, -2.0, 3.0, 0.5][bits as usize % 6],
+            _ => bits as i32 as f32 / (1 << 24) as f32,
+        }
+    }
+
+    /// Bit equality, except that any NaN matches any NaN: the payload of a
+    /// NaN produced by arithmetic is unspecified.
+    fn same_bits(got: &[f32], want: &[f32]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+    }
+
+    proptest! {
+        /// The plane kernel equals the per-element loop bit for bit over
+        /// random shapes, on finite data (one class) and on every value
+        /// class mixed, exact cancellations included.
+        #[test]
+        fn planes_match_per_element_loop(n in 1usize..3, c in 1usize..4, fn_ in 1usize..4,
+                                         fh in 1usize..4, fw in 1usize..5, extra_h in 0usize..6,
+                                         extra_w in 0usize..9, seed in any::<u64>(),
+                                         finite in any::<bool>()) {
+            let (ih, iw) = (fh + extra_h, fw + extra_w);
+            let mut r = seed;
+            let mut next = || {
+                r = r.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let v = class_value(r ^ r >> 29);
+                if finite && !v.is_finite() { 1.0 } else { v }
+            };
+            let input = Tensor4::from_fn(n, c, ih, iw, |_, _, _, _| next());
+            let weights = FilterBank::from_fn(fn_, c, fh, fw, |_, _, _, _| next());
+            let got = conv_nchw_ref(&input, &weights);
+            let want = per_element_oracle(&input, &weights);
+            prop_assert!(same_bits(got.as_slice(), want.as_slice()),
+                         "{:?} vs {:?}", got.as_slice(), want.as_slice());
+        }
+
+        /// The host-FMA dispatch and the portable body (calling the library
+        /// `fmaf` outside the `fma` target feature) agree bit for bit.
+        #[test]
+        fn fma_and_portable_planes_agree(c in 1usize..3, fh in 1usize..4, fw in 1usize..4,
+                                         oh in 1usize..5, ow in 1usize..9,
+                                         vals in prop::collection::vec(any::<u64>(), 256usize)) {
+            let iw = ow + fw - 1;
+            let ih = oh + fh - 1;
+            let x: Vec<f32> = (0..c * ih * iw).map(|i| class_value(vals[i % 256] ^ i as u64)).collect();
+            let w: Vec<f32> = (0..c * fh * fw).map(|i| class_value(vals[255 - i % 256])).collect();
+            let shape = PlaneShape { c, iw, fh, fw, oh, ow };
+            let mut dispatched = vec![0.0f32; oh * ow];
+            let mut portable = vec![0.0f32; oh * ow];
+            nchw_plane(&x, &w, shape, &mut dispatched);
+            nchw_plane_portable(&x, &w, shape, &mut portable);
+            prop_assert!(same_bits(&dispatched, &portable));
+        }
+    }
+
+    #[test]
+    fn planes_keep_signed_zeros_and_exact_cancellation() {
+        // -0·1 + 0 is +0 from a +0 accumulator; 3·(1/3) − 1 keeps the bits
+        // only one rounding leaves; 2·3 − 6 cancels exactly.
+        let input = Tensor4::from_vec(1, 3, 1, 2, vec![-0.0, 6.0, 3.0, 1.0, 2.0, 1.0]).unwrap();
+        let weights = FilterBank::from_vec(1, 3, 1, 1, vec![1.0, 1.0 / 3.0, -3.0]).unwrap();
+        let got = conv_nchw_ref(&input, &weights);
+        let want = per_element_oracle(&input, &weights);
+        assert!(same_bits(got.as_slice(), want.as_slice()));
+        // Output 0: fma(2, −3, fma(3, 1/3, fma(−0, 1, +0))).
+        let third = 3.0f32.mul_add(1.0 / 3.0, (-0.0f32).mul_add(1.0, 0.0));
+        assert_eq!(
+            got.get(0, 0, 0, 0).to_bits(),
+            2.0f32.mul_add(-3.0, third).to_bits()
+        );
+        // Output 1: 6 + 1/3 − 6 keeps 1/3's rounding error.
+        let kept = 1.0f32.mul_add(1.0 / 3.0, 6.0);
+        assert_eq!(
+            got.get(0, 0, 0, 1).to_bits(),
+            1.0f32.mul_add(-3.0, kept).to_bits()
+        );
+    }
 
     #[test]
     fn single_channel_single_filter_matches_2d() {
