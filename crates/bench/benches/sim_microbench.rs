@@ -1,15 +1,18 @@
 //! Criterion micro-benchmarks of the simulator substrate itself: the
 //! coalescer, the shared-memory bank model, lane FMA, the sectored cache
-//! (per sector and per line), a warp's lane-run loads, warp shuffles and
-//! the launch machinery — the per-event costs everything else multiplies
-//! out of.
+//! (per sector and per line), a warp's lane-run loads, warp shuffles, the
+//! paper's inner loop (row FMAs, filter-weight loads, Algorithm 1's
+//! exchange) and the launch machinery — the per-event costs everything
+//! else multiplies out of.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use memconv::core::column_reuse::exchange_step;
+use memconv::core::Exchange;
 use memconv::gpusim::lane::{LaneMask, LaneVec, VF, VU, WARP};
 use memconv::gpusim::memory::cache::{Access, CachePolicy, SectoredCache};
 use memconv::gpusim::memory::coalescer::coalesce_into;
 use memconv::gpusim::memory::SharedMem;
-use memconv::gpusim::shuffle;
+use memconv::gpusim::{shuffle, WarpCtx};
 use memconv::prelude::*;
 use std::hint::black_box;
 
@@ -74,6 +77,87 @@ fn bench_fma(c: &mut Criterion) {
     let acc = VF::from_fn(|l| -(l as f32));
     c.bench_function("warp_fma", |b| {
         b.iter(|| black_box(black_box(&a).mul_add(&x, &acc)))
+    });
+}
+
+/// Run `body` 256 times in the one warp of a one-block launch on the tiny
+/// device, whose launch costs little next to the loop; returns the
+/// launch's instruction counts so the work is not optimized away.
+fn warp_loop(sim: &mut GpuSim, body: impl Fn(&mut WarpCtx<'_, '_>) + Sync) -> u64 {
+    let stats = sim.launch(&LaunchConfig::linear(1, 32), |blk| {
+        blk.each_warp(|w| {
+            for _ in 0..256 {
+                body(w);
+            }
+        });
+    });
+    stats.fma_instrs + stats.fp_instrs + stats.shfl_instrs
+}
+
+fn bench_inner_loop(c: &mut Criterion) {
+    let mut sim = GpuSim::new(DeviceConfig::test_tiny());
+    let weights = sim
+        .mem
+        .upload(&[0.5, -1.25, 2.0, 0.75, 1.5, -0.5, 0.25, 3.0, -2.0]);
+    let xs = [
+        VF::from_fn(|l| l as f32 * 0.5),
+        VF::splat(1.25),
+        VF::from_fn(|l| -(l as f32)),
+    ];
+    let ws = [0.5f32, -1.25, 2.0];
+    // Algorithm 2's multiply of one loaded 3-column row against one filter
+    // row: one row FMA, against the three single FMAs it replaces.
+    c.bench_function("warp_fma_row", |b| {
+        b.iter(|| {
+            warp_loop(&mut sim, |w| {
+                let mut acc = VF::splat(0.0);
+                w.fma_row(&mut acc, black_box(&xs), black_box(&ws));
+                black_box(acc);
+            })
+        })
+    });
+    c.bench_function("warp_fma_row_as_single_fmas", |b| {
+        b.iter(|| {
+            warp_loop(&mut sim, |w| {
+                let mut acc = VF::splat(0.0);
+                for (&x, &wt) in black_box(&xs).iter().zip(black_box(&ws)) {
+                    acc = w.fma(x, VF::splat(wt), acc);
+                }
+                black_box(acc);
+            })
+        })
+    });
+    // A 3×3 filter plane into registers: one row of scalar constant loads,
+    // against nine splatting `const_load`s.
+    c.bench_function("const_load_row", |b| {
+        b.iter(|| {
+            warp_loop(&mut sim, |w| {
+                let mut plane = [0.0f32; 9];
+                w.const_load_row(weights, 0, &mut plane);
+                black_box(plane);
+            })
+        })
+    });
+    c.bench_function("const_load_row_as_single_loads", |b| {
+        b.iter(|| {
+            warp_loop(&mut sim, |w| {
+                let plane: [VF; 9] = std::array::from_fn(|i| w.const_load(weights, i as u32));
+                black_box(plane);
+            })
+        })
+    });
+    // Algorithm 1's pack/shift/unpack and `shfl_xor` for a 5-wide filter.
+    let e = Exchange {
+        lo: 0,
+        hi: 4,
+        mask: 2,
+    };
+    c.bench_function("exchange_step", |b| {
+        b.iter(|| {
+            warp_loop(&mut sim, |w| {
+                black_box(exchange_step(w, black_box(&xs[0]), black_box(&xs[2]), &e));
+            })
+        })
     });
 }
 
@@ -236,6 +320,7 @@ criterion_group!(
     bench_coalescer,
     bench_shared,
     bench_fma,
+    bench_inner_loop,
     bench_cache,
     bench_cache_2080ti,
     bench_cache_line,

@@ -146,10 +146,8 @@ pub fn launch_conv2d_ours_padded(
             let col0 = x0 as i64 - pad_w as i64;
 
             // Filter weights from constant memory into registers.
-            let mut fvals: Vec<VF> = Vec::with_capacity(fh * fw);
-            for i in 0..fh * fw {
-                fvals.push(w.const_load(filter, i as u32));
-            }
+            let mut fvals = vec![0.0f32; fh * fw];
+            w.const_load_row(filter, 0, &mut fvals);
 
             // Register accumulators (one output row tile per lane) and the
             // row's column slots, reused for every row.
@@ -169,9 +167,7 @@ pub fn launch_conv2d_ours_padded(
                     }
                     for (o, fr) in contributions_tiled(vy, fh, y0, t_rows, oh) {
                         let t = o - y0;
-                        for (s, &slot) in slots.iter().enumerate() {
-                            acc[t] = w.fma(slot, fvals[fr * fw + s], acc[t]);
-                        }
+                        w.fma_row(&mut acc[t], &slots, &fvals[fr * fw..][..fw]);
                     }
                 }
             }

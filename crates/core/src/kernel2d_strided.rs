@@ -129,11 +129,11 @@ pub fn launch_conv2d_ours_strided(
             // lane t's base input column
             let base_col = |l: usize| (x0 + l) * stride_w;
 
-            let mut fvals: Vec<VF> = Vec::with_capacity(fh * fw);
-            for i in 0..fh * fw {
-                fvals.push(w.const_load(filter, i as u32));
-            }
+            let mut fvals = vec![0.0f32; fh * fw];
+            w.const_load_row(filter, 0, &mut fvals);
             let mut acc = vec![VF::splat(0.0); t_rows];
+            // The row's slots, reused for every row (each row writes all).
+            let mut slots = vec![VF::splat(0.0); fw];
 
             let first_in_row = y0 * stride_h;
             let last_in_row = ((y0 + t_rows - 1).min(oh - 1) * stride_h + fh).min(ih);
@@ -144,7 +144,6 @@ pub fn launch_conv2d_ours_strided(
                 }
                 let row_start = iy * iw;
                 // --- materialize the FW slots ------------------------------
-                let mut slots: Vec<VF> = vec![VF::splat(0.0); fw];
                 if cfg.column_reuse && stride_w < fw {
                     for (k, slot) in slots.iter_mut().enumerate().take(plan.base_slots) {
                         let mask = LaneMask::from_fn(|l| base_col(l) + k < iw);
@@ -176,9 +175,7 @@ pub fn launch_conv2d_ours_strided(
                 // --- accumulate -------------------------------------------
                 for (o, fr) in contribs {
                     let t = o - y0;
-                    for (s, &slot) in slots.iter().enumerate() {
-                        acc[t] = w.fma(slot, fvals[fr * fw + s], acc[t]);
-                    }
+                    w.fma_row(&mut acc[t], &slots, &fvals[fr * fw..][..fw]);
                 }
             }
 

@@ -80,10 +80,8 @@ pub fn depthwise_launch_parts(
 
             // The whole filter plane up front — no channel loop to reload
             // inside.
-            let mut fvals: Vec<VF> = Vec::with_capacity(w_plane);
-            for i in 0..w_plane {
-                fvals.push(w.const_load(weights, (f * w_plane + i) as u32));
-            }
+            let mut fvals = vec![0.0f32; w_plane];
+            w.const_load_row(weights, (f * w_plane) as u32, &mut fvals);
             let plane_base = (n * ic + c) * in_plane;
             // Accumulators and the row's column slots, reused for every row.
             let mut acc = vec![VF::splat(0.0); t_rows];
@@ -129,9 +127,7 @@ pub fn depthwise_launch_parts(
                 }
                 for (o, fr) in contribs {
                     let t = o - y0;
-                    for (s, &slot) in slots.iter().enumerate() {
-                        acc[t] = w.fma(slot, fvals[fr * fw + s], acc[t]);
-                    }
+                    w.fma_row(&mut acc[t], &slots, &fvals[fr * fw..][..fw]);
                 }
             }
 

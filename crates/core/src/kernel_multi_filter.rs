@@ -72,7 +72,7 @@ pub fn launch_conv_nchw_multi_filter(
             // channel and row. Accumulators: [filter][row] — fpp·t_rows
             // registers per lane.
             let mut acc = vec![VF::splat(0.0); fcount * t_rows];
-            let mut fvals = vec![VF::splat(0.0); fcount * w_plane];
+            let mut fvals = vec![0.0f32; fcount * w_plane];
             let mut slots = vec![VF::splat(0.0); fw];
             let last_in_row = (y0 + t_rows + fh - 1).min(ih);
 
@@ -81,9 +81,7 @@ pub fn launch_conv_nchw_multi_filter(
                 // group, from constant memory.
                 for (fi, planes) in fvals.chunks_exact_mut(w_plane).enumerate() {
                     let wbase = ((f0 + fi) * ic + c) * w_plane;
-                    for (i, fv) in planes.iter_mut().enumerate() {
-                        *fv = w.const_load(weights, (wbase + i) as u32);
-                    }
+                    w.const_load_row(weights, wbase as u32, planes);
                 }
                 let plane_base = (n * ic + c) * in_plane;
                 for iy in y0..last_in_row {
@@ -101,10 +99,8 @@ pub fn launch_conv_nchw_multi_filter(
                     for (o, fr) in contributions_tiled(iy, fh, y0, t_rows, oh) {
                         let t = o - y0;
                         for (fi, filt_acc) in acc.chunks_exact_mut(t_rows).enumerate() {
-                            for (s, &slot) in slots.iter().enumerate() {
-                                filt_acc[t] =
-                                    w.fma(slot, fvals[fi * w_plane + fr * fw + s], filt_acc[t]);
-                            }
+                            let ws = &fvals[fi * w_plane + fr * fw..][..fw];
+                            w.fma_row(&mut filt_acc[t], &slots, ws);
                         }
                     }
                 }

@@ -104,16 +104,14 @@ fn nchw_launch_parts_fused(
             // The warp's registers, allocated once and reused for every
             // channel and row.
             let mut acc = vec![VF::splat(0.0); t_rows];
-            let mut fvals = vec![VF::splat(0.0); w_plane];
+            let mut fvals = vec![0.0f32; w_plane];
             let mut slots = vec![VF::splat(0.0); fw];
             let last_in_row = (y0 + t_rows + fh - 1).min(ih);
 
             for c in 0..ic {
                 // This channel's filter plane, from constant memory.
                 let wbase = (f * ic + c) * w_plane;
-                for (i, fv) in fvals.iter_mut().enumerate() {
-                    *fv = w.const_load(weights, (wbase + i) as u32);
-                }
+                w.const_load_row(weights, wbase as u32, &mut fvals);
                 let plane_base = (n * ic + c) * in_plane;
                 for iy in y0..last_in_row {
                     let row_base = (plane_base + iy * iw + x0) as u32;
@@ -125,9 +123,7 @@ fn nchw_launch_parts_fused(
                     }
                     for (o, fr) in contributions_tiled(iy, fh, y0, t_rows, oh) {
                         let t = o - y0;
-                        for (s, &slot) in slots.iter().enumerate() {
-                            acc[t] = w.fma(slot, fvals[fr * fw + s], acc[t]);
-                        }
+                        w.fma_row(&mut acc[t], &slots, &fvals[fr * fw..][..fw]);
                     }
                 }
             }

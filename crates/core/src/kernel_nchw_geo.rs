@@ -121,7 +121,7 @@ pub fn nchw_geo_launch_parts_fused(
             // The warp's registers, allocated once and reused for every
             // channel and row.
             let mut acc = vec![VF::splat(0.0); t_rows];
-            let mut fvals = vec![VF::splat(0.0); w_plane];
+            let mut fvals = vec![0.0f32; w_plane];
             let mut slots = vec![VF::splat(0.0); fw];
             // Virtual padded rows this tile touches.
             let first_vy = y0 * sh;
@@ -129,9 +129,7 @@ pub fn nchw_geo_launch_parts_fused(
 
             for cg in 0..cpg {
                 let wbase = (f * cpg + cg) * w_plane;
-                for (i, fv) in fvals.iter_mut().enumerate() {
-                    *fv = w.const_load(weights, (wbase + i) as u32);
-                }
+                w.const_load_row(weights, wbase as u32, &mut fvals);
                 let plane_base = (n * ic + c0 + cg) * in_plane;
                 for vy in first_vy..last_vy {
                     let mut contribs = contributions_geo(vy, fh, sh, dh, y0, t_rows, oh).peekable();
@@ -177,9 +175,7 @@ pub fn nchw_geo_launch_parts_fused(
                     // --- accumulate ---------------------------------------
                     for (o, fr) in contribs {
                         let t = o - y0;
-                        for (s, &slot) in slots.iter().enumerate() {
-                            acc[t] = w.fma(slot, fvals[fr * fw + s], acc[t]);
-                        }
+                        w.fma_row(&mut acc[t], &slots, &fvals[fr * fw..][..fw]);
                     }
                 }
             }

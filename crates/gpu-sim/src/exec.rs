@@ -515,6 +515,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     }
 
     /// The lane-id vector `[0..32)`.
+    #[inline]
     pub fn lane_id(&self) -> VU {
         VU::lane_id()
     }
@@ -527,6 +528,21 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         self.res.tick(1);
         self.res.stats.fma_instrs += 1;
         a.mul_add(&b, &c)
+    }
+
+    /// One filter row's multiply-accumulate: `xs.len()` warp FMAs
+    /// `acc = xs[s] * ws[s] + acc`, `s` ascending, each weight uniform
+    /// across the warp. Counts, ticks and rounds exactly as that many
+    /// [`WarpCtx::fma`] calls with splatted weights (so a watchdog budget
+    /// or an armed hang trips at the same instruction), but runs the row
+    /// in one FMA-unit call ([`VF::mul_add_row`]).
+    #[inline]
+    pub fn fma_row(&mut self, acc: &mut VF, xs: &[VF], ws: &[f32]) {
+        for _ in xs {
+            self.res.tick(1);
+        }
+        self.res.stats.fma_instrs += xs.len() as u64;
+        acc.mul_add_row(xs, ws);
     }
 
     /// Counted floating add.
@@ -547,6 +563,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
 
     /// Record `n` additional floating-point instructions executed by host-
     /// side shortcuts (e.g. an unrolled inner loop folded into one call).
+    #[inline]
     pub fn count_fp(&mut self, n: u64) {
         self.res.tick(n);
         self.res.stats.fp_instrs += n;
@@ -556,6 +573,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
 
     /// Count one shuffle, attributing it to the caller's site when the
     /// hazard analyzer is recording.
+    #[inline]
     fn note_shfl(&mut self, site: SiteId) {
         self.res.tick(1);
         self.res.stats.shfl_instrs += 1;
@@ -566,6 +584,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
 
     /// Apply a pending shuffle-lane fault to a shuffle result; the plain
     /// identity whenever injection is off.
+    #[inline]
     fn shfl_faulted(&mut self, v: VF) -> VF {
         match self.res.faults.as_deref_mut().and_then(|f| f.shuffle()) {
             Some(c) => shuffle::corrupt_lane(&v, (c.pick % WARP as u64) as usize, c.bit),
@@ -574,6 +593,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     }
 
     /// `__shfl_xor_sync` over f32.
+    #[inline]
     #[track_caller]
     pub fn shfl_xor(&mut self, v: &VF, mask: usize) -> VF {
         self.note_shfl(SiteId::caller());
@@ -582,6 +602,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     }
 
     /// `__shfl_up_sync` over f32.
+    #[inline]
     #[track_caller]
     pub fn shfl_up(&mut self, v: &VF, delta: usize) -> VF {
         self.note_shfl(SiteId::caller());
@@ -590,6 +611,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     }
 
     /// `__shfl_down_sync` over f32.
+    #[inline]
     #[track_caller]
     pub fn shfl_down(&mut self, v: &VF, delta: usize) -> VF {
         self.note_shfl(SiteId::caller());
@@ -598,6 +620,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     }
 
     /// Indexed `__shfl_sync` over f32.
+    #[inline]
     #[track_caller]
     pub fn shfl_idx(&mut self, v: &VF, idx: &VU) -> VF {
         self.note_shfl(SiteId::caller());
@@ -606,6 +629,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     }
 
     /// Broadcast lane `src` to all lanes.
+    #[inline]
     #[track_caller]
     pub fn shfl_bcast(&mut self, v: &VF, src: usize) -> VF {
         self.note_shfl(SiteId::caller());
@@ -875,15 +899,31 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// paper's kernels). Uniform constant-cache reads are served at
     /// register speed after the first access and do **not** produce global
     /// transactions; the issue slot is counted as one instruction.
+    #[inline]
     pub fn const_load(&mut self, buf: BufId, idx: u32) -> VF {
-        self.res.tick(1);
-        self.res.stats.fp_instrs += 1;
-        let v = self.res.glob.read_elem(buf, idx);
-        match self.res.phantom {
-            // Phantom: the read above keeps bounds parity; the value is
-            // replaced by the canary.
-            Some(ph) => VF::splat(ph.canary),
-            None => VF::splat(v),
+        let mut v = [0.0];
+        self.const_load_row(buf, idx, &mut v);
+        VF::splat(v[0])
+    }
+
+    /// `out.len()` constant loads of `buf[start..]` as uniform scalars:
+    /// a filter plane read into registers, the scalar a uniform
+    /// `__constant__` read broadcasts. Each element costs what one
+    /// [`WarpCtx::const_load`] (this row at length 1) does, at `start`,
+    /// `start + 1`, … in turn: one tick, one instruction and one
+    /// bounds-checked read, which panics at the first index out of range.
+    #[inline]
+    pub fn const_load_row(&mut self, buf: BufId, start: u32, out: &mut [f32]) {
+        for (j, o) in out.iter_mut().enumerate() {
+            self.res.tick(1);
+            self.res.stats.fp_instrs += 1;
+            let v = self.res.glob.read_elem(buf, start.wrapping_add(j as u32));
+            *o = match self.res.phantom {
+                // Phantom: the read above keeps bounds parity; the value is
+                // replaced by the canary.
+                Some(ph) => ph.canary,
+                None => v,
+            };
         }
     }
 
@@ -1297,6 +1337,45 @@ impl GpuSim {
     /// An RTX 2080 Ti simulator (the paper's platform).
     pub fn rtx2080ti() -> Self {
         GpuSim::new(DeviceConfig::rtx2080ti())
+    }
+
+    /// Make this simulator equal to [`GpuSim::new`] on its `device` with the
+    /// same configuration — launch mode, worker threads, watchdog budget,
+    /// fault plan and span, analysis and phantom settings: a fresh, empty
+    /// [`GlobalMem`], the launch sequence at 0, and the fault log, spans,
+    /// span label and collectors empty. The built L2, the on-chip state
+    /// and the scratch pool are kept; every launch renews them anyway, so
+    /// no counter can tell.
+    pub fn reset(&mut self) {
+        let GpuSim {
+            device: _,
+            mem,
+            mode: _,
+            parallel_threads: _,
+            analysis,
+            phantom,
+            faults: _,
+            fault_log,
+            watchdog_budget: _,
+            launch_seq,
+            spans: _,
+            span_label,
+            launch_spans,
+            scratch_pool: _,
+            l2: _,
+            on_chip: _,
+        } = self;
+        *mem = GlobalMem::new();
+        *launch_seq = 0;
+        *fault_log = FaultLog::default();
+        span_label.clear();
+        launch_spans.clear();
+        if let Some(a) = analysis {
+            a.collector = LaunchCollector::default();
+        }
+        if let Some(p) = phantom {
+            p.collector = SymBlockCollector::default();
+        }
     }
 
     /// The engine used by [`GpuSim::launch`].

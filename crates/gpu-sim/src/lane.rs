@@ -27,6 +27,7 @@ impl LaneMask {
     pub const NONE: LaneMask = LaneMask(0);
 
     /// Mask with exactly the first `n` lanes active.
+    #[inline]
     pub fn first(n: usize) -> LaneMask {
         assert!(n <= WARP);
         if n == WARP {
@@ -37,6 +38,7 @@ impl LaneMask {
     }
 
     /// Build from a per-lane predicate.
+    #[inline]
     pub fn from_fn(mut f: impl FnMut(usize) -> bool) -> LaneMask {
         let mut m = 0u32;
         for lane in 0..WARP {
@@ -94,6 +96,7 @@ impl LaneMask {
 
 impl BitAnd for LaneMask {
     type Output = LaneMask;
+    #[inline]
     fn bitand(self, rhs: Self) -> LaneMask {
         LaneMask(self.0 & rhs.0)
     }
@@ -101,6 +104,7 @@ impl BitAnd for LaneMask {
 
 impl BitOr for LaneMask {
     type Output = LaneMask;
+    #[inline]
     fn bitor(self, rhs: Self) -> LaneMask {
         LaneMask(self.0 | rhs.0)
     }
@@ -108,6 +112,7 @@ impl BitOr for LaneMask {
 
 impl BitXor for LaneMask {
     type Output = LaneMask;
+    #[inline]
     fn bitxor(self, rhs: Self) -> LaneMask {
         LaneMask(self.0 ^ rhs.0)
     }
@@ -188,36 +193,43 @@ impl<T: Copy> LaneVec<T> {
 
 impl LaneVec<u32> {
     /// The lane-id vector `[0, 1, …, 31]` (`%laneid`).
+    #[inline]
     pub fn lane_id() -> VU {
         LaneVec::from_fn(|l| l as u32)
     }
 
     /// Lane-wise conversion to `f32`.
+    #[inline]
     pub fn to_f32(&self) -> VF {
         self.map(|v| v as f32)
     }
 
     /// Lane-wise conversion to `i32` (wrapping).
+    #[inline]
     pub fn to_i32(&self) -> VI {
         self.map(|v| v as i32)
     }
 
     /// Lane-wise comparison, producing a mask.
+    #[inline]
     pub fn lt(&self, other: &VU) -> LaneMask {
         LaneMask::from_fn(|l| self.0[l] < other.0[l])
     }
 
     /// Lane-wise `<` against a scalar.
+    #[inline]
     pub fn lt_scalar(&self, s: u32) -> LaneMask {
         LaneMask::from_fn(|l| self.0[l] < s)
     }
 
     /// Lane-wise `>=` against a scalar.
+    #[inline]
     pub fn ge_scalar(&self, s: u32) -> LaneMask {
         LaneMask::from_fn(|l| self.0[l] >= s)
     }
 
     /// Lane-wise equality against a scalar.
+    #[inline]
     pub fn eq_scalar(&self, s: u32) -> LaneMask {
         LaneMask::from_fn(|l| self.0[l] == s)
     }
@@ -226,12 +238,14 @@ impl LaneVec<u32> {
 impl LaneVec<i32> {
     /// Lane-wise conversion to `u32` (wrapping; callers mask out-of-range
     /// lanes, as GPU code does).
+    #[inline]
     pub fn to_u32(&self) -> VU {
         self.map(|v| v as u32)
     }
 
     /// Mask of lanes whose value lies in `[0, bound)` — the standard
     /// boundary predicate of padded convolution kernels.
+    #[inline]
     pub fn in_range(&self, bound: i32) -> LaneMask {
         LaneMask::from_fn(|l| self.0[l] >= 0 && self.0[l] < bound)
     }
@@ -239,11 +253,13 @@ impl LaneVec<i32> {
 
 impl LaneVec<f32> {
     /// Lane-wise conversion to bit pattern.
+    #[inline]
     pub fn to_bits(&self) -> VU {
         self.map(f32::to_bits)
     }
 
     /// Lane-wise reconstruction from bit pattern.
+    #[inline]
     pub fn from_bits(bits: &VU) -> VF {
         bits.map(f32::from_bits)
     }
@@ -281,6 +297,38 @@ impl LaneVec<f32> {
         }
         LaneVec(out)
     }
+
+    /// A row of lane-wise fused multiply-adds into `self`:
+    /// `self = xs[s] * ws[s] + self` for `s` ascending, each rounded once
+    /// per lane exactly as [`f32::mul_add`] — the bits of `xs.len()`
+    /// [`VF::mul_add`] calls with splatted weights, in one host call on the
+    /// host's FMA unit when it has one and on [`VF::mul_add_row_scalar`]
+    /// otherwise.
+    #[inline]
+    #[allow(unsafe_code)]
+    pub fn mul_add_row(&mut self, xs: &[VF], ws: &[f32]) {
+        assert_eq!(xs.len(), ws.len(), "one weight per row column");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: `mul_add_row_fma` needs only the `fma` target feature,
+            // and `is_x86_feature_detected!("fma")` just confirmed this CPU
+            // has it.
+            return unsafe { mul_add_row_fma(self, xs, ws) };
+        }
+        self.mul_add_row_scalar(xs, ws);
+    }
+
+    /// The portable path of [`VF::mul_add_row`], public for the same reason
+    /// as [`VF::mul_add_scalar`]. Always inlined, so that inside
+    /// `mul_add_row_fma` it compiles with the `fma` feature.
+    #[inline(always)]
+    pub fn mul_add_row_scalar(&mut self, xs: &[VF], ws: &[f32]) {
+        for (x, &w) in xs.iter().zip(ws) {
+            for (a, &v) in self.0.iter_mut().zip(&x.0) {
+                *a = v.mul_add(w, *a);
+            }
+        }
+    }
 }
 
 /// [`VF::mul_add_scalar`] compiled with the `fma` target feature, so each
@@ -295,6 +343,19 @@ impl LaneVec<f32> {
 #[allow(unsafe_code)]
 unsafe fn mul_add_fma(a: &VF, b: &VF, c: &VF) -> VF {
     a.mul_add_scalar(b, c)
+}
+
+/// [`VF::mul_add_row_scalar`] compiled with the `fma` target feature, as
+/// [`mul_add_fma`] is for one FMA.
+///
+/// # Safety
+///
+/// The running CPU must support the `fma` target feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(unsafe_code)]
+unsafe fn mul_add_row_fma(acc: &mut VF, xs: &[VF], ws: &[f32]) {
+    acc.mul_add_row_scalar(xs, ws);
 }
 
 macro_rules! lane_binop {
@@ -326,6 +387,7 @@ lane_binop!(i32, Mul, mul, *);
 
 impl Neg for LaneVec<f32> {
     type Output = VF;
+    #[inline]
     fn neg(self) -> VF {
         self.map(|v| -v)
     }
@@ -358,6 +420,7 @@ lane_wrapop!(u64, Add, add, wrapping_add);
 
 impl BitAnd<u32> for LaneVec<u32> {
     type Output = VU;
+    #[inline]
     fn bitand(self, rhs: u32) -> VU {
         self.map(|v| v & rhs)
     }
@@ -365,6 +428,7 @@ impl BitAnd<u32> for LaneVec<u32> {
 
 impl BitXor<u32> for LaneVec<u32> {
     type Output = VU;
+    #[inline]
     fn bitxor(self, rhs: u32) -> VU {
         self.map(|v| v ^ rhs)
     }
@@ -372,6 +436,7 @@ impl BitXor<u32> for LaneVec<u32> {
 
 impl Shl<u32> for LaneVec<u32> {
     type Output = VU;
+    #[inline]
     fn shl(self, rhs: u32) -> VU {
         self.map(|v| v << rhs)
     }
@@ -379,6 +444,7 @@ impl Shl<u32> for LaneVec<u32> {
 
 impl Shr<u32> for LaneVec<u32> {
     type Output = VU;
+    #[inline]
     fn shr(self, rhs: u32) -> VU {
         self.map(|v| v >> rhs)
     }
@@ -388,6 +454,7 @@ impl Shr<u32> for LaneVec<u32> {
 /// (`exchange >> shift` where `shift` differs per lane).
 impl Shr<LaneVec<u32>> for LaneVec<u64> {
     type Output = VU64;
+    #[inline]
     fn shr(self, rhs: VU) -> VU64 {
         LaneVec(std::array::from_fn(|l| self.0[l] >> (rhs.0[l] & 63)))
     }
@@ -396,6 +463,7 @@ impl Shr<LaneVec<u32>> for LaneVec<u64> {
 /// Lane-dependent 64-bit left shift.
 impl Shl<LaneVec<u32>> for LaneVec<u64> {
     type Output = VU64;
+    #[inline]
     fn shl(self, rhs: VU) -> VU64 {
         LaneVec(std::array::from_fn(|l| self.0[l] << (rhs.0[l] & 63)))
     }
@@ -406,6 +474,7 @@ impl LaneVec<u64> {
     /// patterns) into each lane's 64-bit register. `lo` occupies bits 0–31,
     /// `hi` bits 32–63, exactly as Algorithm 1 line 2 packs
     /// `{iTemp[0], iTemp[4]}`.
+    #[inline]
     pub fn pack(lo: &VF, hi: &VF) -> VU64 {
         LaneVec(std::array::from_fn(|l| {
             (lo.0[l].to_bits() as u64) | ((hi.0[l].to_bits() as u64) << 32)
@@ -414,11 +483,13 @@ impl LaneVec<u64> {
 
     /// Low 32 bits of each lane, reinterpreted as `f32`
     /// (`mov {lo, hi}, exchange` — the `lo` half).
+    #[inline]
     pub fn unpack_lo(&self) -> VF {
         self.map(|v| f32::from_bits(v as u32))
     }
 
     /// High 32 bits of each lane, reinterpreted as `f32`.
+    #[inline]
     pub fn unpack_hi(&self) -> VF {
         self.map(|v| f32::from_bits((v >> 32) as u32))
     }

@@ -11,6 +11,7 @@
 
 use crate::lane::{LaneVec, VU, WARP};
 
+#[inline]
 fn check_width(width: usize) {
     assert!(
         width.is_power_of_two() && (1..=WARP).contains(&width),
@@ -25,6 +26,7 @@ fn check_width(width: usize) {
 /// every lane exactly when `mask < width`. Otherwise every source lies
 /// outside its segment, and lanes keep their own value, matching the
 /// hardware's behaviour for out-of-segment reads.
+#[inline]
 pub fn shfl_xor<T: Copy>(v: &LaneVec<T>, mask: usize, width: usize) -> LaneVec<T> {
     check_width(width);
     assert!(mask < WARP, "xor mask must be < 32");
@@ -36,6 +38,7 @@ pub fn shfl_xor<T: Copy>(v: &LaneVec<T>, mask: usize, width: usize) -> LaneVec<T
 
 /// `__shfl_up_sync`: lane `i` receives the value of lane `i - delta`; lanes
 /// whose source would fall before their segment keep their own value.
+#[inline]
 pub fn shfl_up<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T> {
     check_width(width);
     let seg_mask = !(width - 1);
@@ -51,6 +54,7 @@ pub fn shfl_up<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T
 
 /// `__shfl_down_sync`: lane `i` receives the value of lane `i + delta`;
 /// lanes whose source would fall past their segment keep their own value.
+#[inline]
 pub fn shfl_down<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T> {
     check_width(width);
     LaneVec::from_fn(|i| {
@@ -65,6 +69,7 @@ pub fn shfl_down<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec
 
 /// `__shfl_sync` (indexed): lane `i` receives the value of the lane named by
 /// `idx.lane(i) mod width`, within lane `i`'s segment.
+#[inline]
 pub fn shfl_idx<T: Copy>(v: &LaneVec<T>, idx: &VU, width: usize) -> LaneVec<T> {
     check_width(width);
     let lane_mask = width - 1;
@@ -73,6 +78,7 @@ pub fn shfl_idx<T: Copy>(v: &LaneVec<T>, idx: &VU, width: usize) -> LaneVec<T> {
 
 /// Broadcast the value of `src_lane` to every lane
 /// (`__shfl_sync(v, src_lane)`).
+#[inline]
 pub fn broadcast<T: Copy>(v: &LaneVec<T>, src_lane: usize) -> LaneVec<T> {
     assert!(src_lane < WARP);
     LaneVec::splat(v.lane(src_lane))
@@ -191,16 +197,19 @@ mod tests {
 }
 
 /// `__ballot_sync`: one bit per lane of `pred`, as a 32-bit mask.
+#[inline]
 pub fn ballot(pred: &crate::lane::LaneMask) -> u32 {
     pred.0
 }
 
 /// `__any_sync`: true when any active lane's predicate holds.
+#[inline]
 pub fn vote_any(pred: &crate::lane::LaneMask, active: &crate::lane::LaneMask) -> bool {
     pred.0 & active.0 != 0
 }
 
 /// `__all_sync`: true when every active lane's predicate holds.
+#[inline]
 pub fn vote_all(pred: &crate::lane::LaneMask, active: &crate::lane::LaneMask) -> bool {
     pred.0 & active.0 == active.0
 }
@@ -209,6 +218,7 @@ pub fn vote_all(pred: &crate::lane::LaneMask, active: &crate::lane::LaneMask) ->
 /// `shfl_xor` tree): every lane ends with the sum of all 32 lanes.
 /// Returns the reduced vector and the number of shuffle instructions the
 /// tree costs (5), so callers can account for them.
+#[inline]
 pub fn reduce_add(v: &crate::lane::VF) -> (crate::lane::VF, u64) {
     let mut acc = *v;
     let mut steps = 0u64;
@@ -223,6 +233,7 @@ pub fn reduce_add(v: &crate::lane::VF) -> (crate::lane::VF, u64) {
 }
 
 /// Butterfly warp max reduction.
+#[inline]
 pub fn reduce_max(v: &crate::lane::VF) -> (crate::lane::VF, u64) {
     let mut acc = *v;
     let mut steps = 0u64;
@@ -284,6 +295,7 @@ mod vote_reduce_tests {
 /// Fault-injection hook: return `v` with one bit of `lane`'s value flipped
 /// (see [`crate::faults`]). Pure, like every routing function here — the
 /// injector decides *whether* and *where*, this applies the datapath upset.
+#[inline]
 pub fn corrupt_lane(v: &crate::lane::VF, lane: usize, bit: u32) -> crate::lane::VF {
     let mut out = *v;
     out.set_lane(

@@ -489,3 +489,95 @@ fn device_seed_derivation_is_pinned_and_namespaced() {
     assert!(n_a > 0 && n_b > 0, "both devices should observe injections");
     assert_ne!(out_a, out_b, "independent streams must corrupt differently");
 }
+
+/// A filter-row kernel: a 3×5 filter plane from constant memory, then per
+/// filter row five loaded columns multiplied in, either as the kernels
+/// issue it now (`const_load_row`, `fma_row`) or as one `const_load` and
+/// one `fma` per element — 46 warp instructions per warp, two warps per
+/// block.
+fn run_filter_rows(
+    sim: &mut GpuSim,
+    rowwise: bool,
+) -> Result<(KernelStats, Vec<f32>), LaunchError> {
+    let data: Vec<f32> = (0..80).map(|i| i as f32 * 0.5 - 3.0).collect();
+    let weights: Vec<f32> = (0..15).map(|i| 0.25 * i as f32 - 1.0).collect();
+    let bi = sim.mem.upload(&data);
+    let bw = sim.mem.upload(&weights);
+    let bo = sim.mem.alloc(128);
+    let stats = sim.try_launch(&LaunchConfig::linear(2, 64), |blk| {
+        blk.each_warp(|w| {
+            let tid = w.global_tid_x();
+            let mut fvals = [0.0f32; 15];
+            if rowwise {
+                w.const_load_row(bw, 0, &mut fvals);
+            } else {
+                for (j, f) in fvals.iter_mut().enumerate() {
+                    *f = w.const_load(bw, j as u32).lane(0);
+                }
+            }
+            let mut acc = VF::splat(0.5);
+            for r in 0..3 {
+                let xs: [VF; 5] = std::array::from_fn(|s| {
+                    let idx = VU::from_fn(|l| (tid.lane(l) + (r * 5 + s) as u32) % 80);
+                    w.gld(bi, &idx, LaneMask::ALL)
+                });
+                let ws = &fvals[r * 5..][..5];
+                if rowwise {
+                    w.fma_row(&mut acc, &xs, ws);
+                } else {
+                    for (&x, &wt) in xs.iter().zip(ws) {
+                        acc = w.fma(x, VF::splat(wt), acc);
+                    }
+                }
+            }
+            w.gst(bo, &tid, &acc, LaneMask::ALL);
+        });
+    })?;
+    Ok((stats, sim.mem.download(bo).to_vec()))
+}
+
+/// Row FMAs and row constant loads tick the watchdog once per counted
+/// instruction: at every budget, and with hangs armed at every seeded
+/// point, the row kernel fails with the `Timeout { issued, budget,
+/// hang_injected }` of its one-instruction-per-call form — or succeeds
+/// with its counters, outputs and fault log — on both engines.
+#[test]
+fn watchdog_trips_inside_a_row_as_per_instruction_calls_do() {
+    for mode in [LaunchMode::Sequential, LaunchMode::Parallel] {
+        let outcome = |budget: Option<u64>, plan: Option<FaultPlan>, rowwise: bool| {
+            let mut sim = sim_with(mode, plan);
+            sim.set_parallel_threads(Some(2));
+            sim.set_watchdog_budget(budget);
+            let got = run_filter_rows(&mut sim, rowwise);
+            (got, sim.take_fault_log())
+        };
+        for budget in 1..=100 {
+            let want = outcome(Some(budget), None, false);
+            assert_eq!(
+                outcome(Some(budget), None, true),
+                want,
+                "{mode:?} budget {budget}"
+            );
+        }
+        let mut hung = 0;
+        for seed in 0..200 {
+            let plan = Some(FaultPlan::new(seed).with_rate(FaultKind::Hang, 1));
+            for budget in [None, Some(40), Some(60)] {
+                let want = outcome(budget, plan, false);
+                hung += matches!(
+                    want.0,
+                    Err(LaunchError::Timeout {
+                        hang_injected: true,
+                        ..
+                    })
+                ) as u32;
+                assert_eq!(
+                    outcome(budget, plan, true),
+                    want,
+                    "{mode:?} seed {seed} {budget:?}"
+                );
+            }
+        }
+        assert!(hung > 0, "some seeded hang lands inside the kernel");
+    }
+}

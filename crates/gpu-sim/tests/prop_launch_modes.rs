@@ -7,7 +7,7 @@
 use memconv_gpusim::trace::BlockTrace;
 use memconv_gpusim::{
     DeviceConfig, FaultKind, FaultLog, FaultPlan, GpuSim, KernelStats, LaneMask, LaunchConfig,
-    LaunchError, LaunchMode, PrivArray, SampleMode, VF, VU, WARP,
+    LaunchError, LaunchMode, PrivArray, SampleMode, SpanConfig, VF, VU, WARP,
 };
 use proptest::prelude::*;
 
@@ -268,10 +268,21 @@ fn run_shapes(
     threads: usize,
     plan: Option<FaultPlan>,
 ) -> (Result<KernelStats, LaunchError>, Vec<f32>, FaultLog) {
-    const LEN: u32 = 300;
     let mut sim = GpuSim::new(DeviceConfig::test_tiny()).with_launch_mode(mode);
     sim.set_parallel_threads(Some(threads));
     sim.set_fault_plan(plan);
+    let (got, out) = launch_shapes(&mut sim, shapes, blocks);
+    (got, out, sim.take_fault_log())
+}
+
+/// [`run_shapes`]' launch on `sim`, on buffers it allocates there: the
+/// counters or the error, and the output buffer.
+fn launch_shapes(
+    sim: &mut GpuSim,
+    shapes: &[u64],
+    blocks: u32,
+) -> (Result<KernelStats, LaunchError>, Vec<f32>) {
+    const LEN: u32 = 300;
     let data: Vec<f32> = (0..LEN).map(|i| i as f32 * 0.75 - 9.0).collect();
     let bi = sim.mem.upload(&data);
     let bo = sim.mem.alloc(LEN as usize);
@@ -290,7 +301,7 @@ fn run_shapes(
         });
     });
     let out = sim.mem.download(bo).to_vec();
-    (got, out, sim.take_fault_log())
+    (got, out)
 }
 
 proptest! {
@@ -552,10 +563,8 @@ proptest! {
     /// Lane-run loads and stores, and near-runs (a lane off by one, a hole
     /// in the mask, a run one element past the buffer end), give the same
     /// counters, memory and fault log in both engines at every thread
-    /// count, with faults armed and not, and fail out of bounds alike. The
-    /// out-of-bounds text is compared at one worker thread: with several,
-    /// the parallel engine reports whichever faulting block's worker is
-    /// joined first, not the lowest block.
+    /// count, with faults armed and not, and fail out of bounds with the
+    /// same text: both engines report the lowest faulting block.
     #[test]
     fn lane_runs_are_engine_independent(
         shapes in prop::collection::vec(any::<u64>(), 1..9),
@@ -580,11 +589,75 @@ proptest! {
                 prop_assert_eq!(&seq_log, &par_log);
             }
             (Err(LaunchError::OutOfBounds(a)), Err(LaunchError::OutOfBounds(b))) => {
-                if threads == 1 {
-                    prop_assert_eq!(a, b)
-                }
+                prop_assert_eq!(a, b)
             }
             _ => prop_assert!(false, "{:?} vs {:?}", seq, par),
+        }
+    }
+
+    /// `GpuSim::reset` makes a used simulator a fresh one: after a history
+    /// of launches that includes a failed out-of-bounds launch and a
+    /// device swap, a reset simulator and `GpuSim::new` on the same device
+    /// with the same configuration give the same counters or errors,
+    /// outputs, buffer addresses, launch sequence, footprint, fault log and
+    /// spans on any later launches — on both engines, with faults armed or
+    /// not and span recording on or off.
+    #[test]
+    fn reset_simulator_equals_a_fresh_one(
+        before in prop::collection::vec(any::<u64>(), 1..7),
+        after in prop::collection::vec(any::<u64>(), 1..9),
+        blocks in 1u32..5,
+        swap in 1u8..4,
+        threads in 1usize..4,
+        armed in any::<bool>(),
+        spans in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let plan = armed.then(|| {
+            FaultPlan::new(seed)
+                .with_rate(FaultKind::GlobalBitFlip, 3)
+                .with_rate(FaultKind::L2SectorDrop, 4)
+                .with_rate(FaultKind::L2SectorDup, 5)
+        });
+        for mode in [LaunchMode::Sequential, LaunchMode::Parallel] {
+            let configured = |dev: DeviceConfig| {
+                let mut sim = GpuSim::new(dev).with_launch_mode(mode);
+                sim.set_parallel_threads(Some(threads));
+                sim.set_fault_plan(plan);
+                sim.set_span_recording(spans.then(SpanConfig::default));
+                sim
+            };
+            let mut used = configured(DeviceConfig::test_tiny());
+            used.set_span_label("before");
+            let _ = launch_shapes(&mut used, &before, blocks);
+            let small = used.mem.alloc(8);
+            let oob = used.try_launch(&LaunchConfig::linear(blocks, 32), |blk| {
+                blk.each_warp(|w| {
+                    let _ = w.gld(small, &w.lane_id(), LaneMask::ALL);
+                });
+            });
+            prop_assert!(matches!(oob, Err(LaunchError::OutOfBounds(_))), "{:?}", oob);
+            used.device = device_variant(swap);
+            let _ = launch_shapes(&mut used, &before, blocks);
+            used.reset();
+            let mut fresh = configured(used.device.clone());
+            for sim in [&mut used, &mut fresh] {
+                prop_assert_eq!(sim.launch_seq(), 0);
+                prop_assert_eq!(sim.mem.total_elems(), 0);
+            }
+            for shapes in after.chunks(3) {
+                let got = launch_shapes(&mut used, shapes, blocks);
+                let want = launch_shapes(&mut fresh, shapes, blocks);
+                prop_assert_eq!(&got, &want, "{:?}", mode);
+                // The next allocation's id and address, and the counts.
+                let probe = |sim: &mut GpuSim| {
+                    let b = sim.mem.alloc(1);
+                    (b, sim.mem.addr(b, 0), sim.launch_seq(), sim.mem.total_elems())
+                };
+                prop_assert_eq!(probe(&mut used), probe(&mut fresh));
+            }
+            prop_assert_eq!(used.take_fault_log(), fresh.take_fault_log());
+            prop_assert_eq!(used.take_launch_spans(), fresh.take_launch_spans());
         }
     }
 }

@@ -1274,3 +1274,124 @@ proptest! {
         }
     }
 }
+
+// ---- row primitives -------------------------------------------------------
+//
+// `WarpCtx::fma_row` and `WarpCtx::const_load_row` against the sequences
+// of single-instruction calls the kernels issued before, kept as oracles.
+
+/// Scalar weights from one random lane vector: every value class of
+/// [`arb_lanes_f32`].
+fn arb_weights() -> impl Strategy<Value = Vec<f32>> {
+    arb_lanes_f32().prop_map(|v| v.0.to_vec())
+}
+
+/// Run `f` in one warp of a one-block launch on a fresh simulator holding
+/// `consts`, and return the launch's outcome plus whatever `f` recorded.
+fn one_warp<T: Send + Default>(
+    consts: &[f32],
+    phantom: bool,
+    f: impl Fn(&mut memconv_gpusim::WarpCtx<'_, '_>, memconv_gpusim::BufId) -> T + Sync,
+) -> (Result<KernelStats, LaunchError>, T) {
+    let mut sim = GpuSim::new(DeviceConfig::test_tiny());
+    if phantom {
+        sim.set_phantom(Some(memconv_gpusim::PhantomConfig { canary: -7.25 }));
+    }
+    let buf = sim.mem.upload(consts);
+    let out = std::sync::Mutex::new(T::default());
+    let got = sim.try_launch(&LaunchConfig::linear(1, 32), |blk| {
+        blk.each_warp(|w| *out.lock().unwrap() = f(w, buf));
+    });
+    (got, out.into_inner().unwrap())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A row FMA gives the bits and counters of `xs.len()` single warp
+    /// FMAs with splatted weights, `s` ascending, on raw bit patterns and
+    /// every value class (lanes whose accumulator cancels the first
+    /// product included); the dispatched and portable bodies of
+    /// `VF::mul_add_row` agree with a lane-wise `f32::mul_add` chain.
+    #[test]
+    fn fma_row_matches_single_fmas(xs in prop::collection::vec(arb_lanes_f32(), 0..9),
+                                   ws in arb_weights(), acc in arb_lanes_f32(),
+                                   cancel in any::<u32>()) {
+        let ws = &ws[..xs.len()];
+        let acc = VF::from_fn(|l| match xs.first() {
+            Some(x) if cancel & (1 << l) != 0 => -(x.lane(l) * ws[0]),
+            _ => acc.lane(l),
+        });
+        let (row_stats, row) = one_warp(&[], false, |w, _| {
+            let mut a = acc;
+            w.fma_row(&mut a, &xs, ws);
+            Some(a)
+        });
+        let (one_stats, one) = one_warp(&[], false, |w, _| {
+            let mut a = acc;
+            for (&x, &wt) in xs.iter().zip(ws) {
+                a = w.fma(x, VF::splat(wt), a);
+            }
+            Some(a)
+        });
+        let (row_stats, one_stats) = (row_stats.unwrap(), one_stats.unwrap());
+        prop_assert_eq!(row_stats.fma_instrs, xs.len() as u64);
+        prop_assert_eq!(&row_stats, &one_stats);
+        let (mut dispatched, mut portable) = (acc, acc);
+        dispatched.mul_add_row(&xs, ws);
+        portable.mul_add_row_scalar(&xs, ws);
+        for l in 0..WARP {
+            let want = xs.iter().zip(ws).fold(acc.lane(l), |a, (x, &wt)| x.lane(l).mul_add(wt, a));
+            for (path, got) in [("warp", row.unwrap()), ("single", one.unwrap()),
+                                ("dispatch", dispatched), ("portable", portable)] {
+                prop_assert!(same_f32(got.lane(l), want), "{} path, lane {}: {:?} vs {:?}",
+                             path, l, got.lane(l), want);
+            }
+        }
+    }
+
+    /// A row of constant loads gives the values, `fp_instrs` and panic
+    /// text of one `const_load` per element, at any start and length over
+    /// any buffer length — ranges inside, straddling the end of, or past
+    /// the buffer, and starts near `u32::MAX` — and reads the canary under
+    /// phantom execution. `const_load` is the one-element row, so the
+    /// values are also checked against the buffer and the panic text
+    /// against the device read's at the first index out of range.
+    #[test]
+    fn const_load_row_matches_single_loads(len in 0usize..40, start_pick in any::<u64>(),
+                                           n in 0usize..12, phantom in any::<bool>(),
+                                           vals in arb_weights()) {
+        let consts: Vec<f32> = (0..len).map(|i| vals[i % WARP]).collect();
+        let start = match start_pick % 4 {
+            0 => u32::MAX - (start_pick >> 8) as u32 % 16,
+            1 => (len as u32).saturating_sub(n as u32) + (start_pick >> 8) as u32 % 3,
+            _ => (start_pick >> 8) as u32 % (len as u32 + 4),
+        };
+        let (row_got, row) = one_warp(&consts, phantom, |w, buf| {
+            let mut out = vec![f32::NAN; n];
+            w.const_load_row(buf, start, &mut out);
+            out
+        });
+        let (one_got, one) = one_warp(&consts, phantom, |w, buf| {
+            (0..n as u32).map(|j| w.const_load(buf, start.wrapping_add(j))).collect::<Vec<VF>>()
+        });
+        prop_assert_eq!(&row_got, &one_got);
+        if let Ok(stats) = &row_got {
+            prop_assert_eq!(stats.fp_instrs, n as u64);
+            prop_assert_eq!(row.len(), n);
+            for (j, (&got, want)) in row.iter().zip(&one).enumerate() {
+                prop_assert!(want.0.iter().all(|&v| v.to_bits() == got.to_bits()), "element {}", j);
+                let expect = if phantom { -7.25 } else { consts[start as usize + j] };
+                prop_assert_eq!(got.to_bits(), expect.to_bits());
+            }
+        } else {
+            let bad = (0..n as u32)
+                .map(|j| start.wrapping_add(j))
+                .find(|&i| i as usize >= len)
+                .expect("a failed row reads out of range");
+            let text = format!("device read OOB: buffer 0 has {len} elems, index {bad}");
+            prop_assert!(matches!(&row_got, Err(LaunchError::OutOfBounds(m)) if m.contains(&text)),
+                         "{:?}", row_got);
+        }
+    }
+}

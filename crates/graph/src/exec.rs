@@ -11,7 +11,7 @@
 //!   crosses back to the host. Each conv resolves its kernel config
 //!   through a per-executor plan cache (heuristic oracle fill on miss —
 //!   zero modeled planning cost, the serving stack's convention).
-//! * **LayerAtATime** — every IR node is its own kernel in its own fresh
+//! * **LayerAtATime** — every IR node is its own kernel on a fresh
 //!   `GpuSim`, with the intermediate tensor downloaded to the host and
 //!   re-uploaded for the next layer — the classic framework dispatch
 //!   loop. Same plan cache, same kernels, no fusion, no pool.
@@ -197,17 +197,32 @@ impl GraphRunReport {
 }
 
 /// Whole-model executor with a persistent per-device plan cache.
+///
+/// It keeps one simulator for all its runs and makes it fresh with
+/// [`GpuSim::reset`]: at the end of every run, so that between runs it
+/// holds no device memory and no handle to the caller's input, and before
+/// each layer of the layer-at-a-time schedule. A reset simulator is
+/// indistinguishable from a new one, so every run's output and report are
+/// those of a fresh simulator (pinned in `tests/prop_graph.rs`), while the
+/// simulator's built L2 and scratch survive from run to run.
 #[derive(Debug)]
 pub struct GraphExecutor {
     cfg: GraphExecConfig,
     cache: PlanCache,
+    /// The kept simulator, fresh between runs; moved out for the length
+    /// of a run.
+    sim: Option<GpuSim>,
 }
 
 impl GraphExecutor {
     /// New executor.
     pub fn new(cfg: GraphExecConfig) -> Self {
         let cache = PlanCache::new(cfg.cache_capacity);
-        GraphExecutor { cfg, cache }
+        GraphExecutor {
+            cfg,
+            cache,
+            sim: None,
+        }
     }
 
     /// The executor's plan cache (hit/miss counters for reports).
@@ -250,10 +265,14 @@ impl GraphExecutor {
             GraphMode::LayerAtATime => FusionMode::Unfused,
         };
         let plan = plan_graph(graph, fusion)?;
-        match mode {
-            GraphMode::Graph { .. } => self.run_resident(graph, &plan, input, n, mode),
-            GraphMode::LayerAtATime => self.run_layerwise(graph, &plan, input, n, mode),
-        }
+        let mut sim = self.sim.take().unwrap_or_else(|| self.new_sim());
+        let out = match mode {
+            GraphMode::Graph { .. } => self.run_resident(&mut sim, graph, &plan, input, n, mode),
+            GraphMode::LayerAtATime => self.run_layerwise(&mut sim, graph, &plan, input, n, mode),
+        };
+        sim.reset();
+        self.sim = Some(sim);
+        out
     }
 
     /// Resolve a conv step's kernel config through the plan cache.
@@ -409,16 +428,17 @@ impl GraphExecutor {
         })
     }
 
-    /// The device-resident schedule: one simulator, pooled intermediates.
+    /// The device-resident schedule: one simulator (fresh on entry),
+    /// pooled intermediates.
     fn run_resident(
         &mut self,
+        sim: &mut GpuSim,
         graph: &LayerGraph,
         plan: &GraphPlan,
         input: &Tensor4,
         batch: usize,
         mode: GraphMode,
     ) -> Result<(Tensor4, GraphRunReport), GraphError> {
-        let mut sim = self.new_sim();
         let input_buf = sim.mem.upload_shared(input.shared());
         let slots: Vec<BufId> = plan
             .pool
@@ -435,7 +455,7 @@ impl GraphExecutor {
             };
             let dst = slots[plan.pool.slot[step.output.0].expect("outputs materialize")];
             let label = format!("{}/{}", graph.model, step_name(graph, step));
-            layers.push(self.exec_step(&mut sim, graph, step, src, dst, batch, &label)?);
+            layers.push(self.exec_step(sim, graph, step, src, dst, batch, &label)?);
         }
 
         let out_shape = graph.shape(graph.output());
@@ -456,10 +476,11 @@ impl GraphExecutor {
         ))
     }
 
-    /// The layer-at-a-time schedule: fresh simulator and host round-trip
-    /// per kernel.
+    /// The layer-at-a-time schedule: fresh (reset) simulator and host
+    /// round-trip per kernel.
     fn run_layerwise(
         &mut self,
+        sim: &mut GpuSim,
         graph: &LayerGraph,
         plan: &GraphPlan,
         input: &Tensor4,
@@ -471,11 +492,11 @@ impl GraphExecutor {
         let mut spans = Vec::new();
         let mut peak = 0usize;
         for step in &plan.steps {
-            let mut sim = self.new_sim();
+            sim.reset();
             let src = sim.mem.upload_shared(cur);
             let dst = sim.mem.alloc(batch * graph.shape(step.output).elems());
             let label = format!("{}/{}", graph.model, step_name(graph, step));
-            layers.push(self.exec_step(&mut sim, graph, step, src, dst, batch, &label)?);
+            layers.push(self.exec_step(sim, graph, step, src, dst, batch, &label)?);
             cur = Arc::new(sim.mem.take(dst));
             peak = peak.max(sim.mem.total_elems());
             spans.extend(sim.take_launch_spans());
@@ -612,6 +633,22 @@ mod tests {
         assert_eq!(fused.transactions_of("bias"), 0);
         // Pooled intermediates shrink the device footprint too.
         assert!(fused.peak_global_elems < layered_peak_equivalent(&graph, 1));
+    }
+
+    #[test]
+    fn layerwise_runs_each_layer_on_a_fresh_simulator() {
+        let graph = tiny_graph(1);
+        let input = tiny_input(&graph, 1, 5);
+        let mut ex = GraphExecutor::new(GraphExecConfig {
+            record_spans: true,
+            ..tiny_cfg()
+        });
+        let (_, layered) = ex.run(&graph, &input, GraphMode::LayerAtATime).unwrap();
+        // One launch per layer, each the first of its simulator: the
+        // launch sequence starts over at every layer.
+        let seqs: Vec<u64> = layered.spans.iter().map(|s| s.seq).collect();
+        assert_eq!(seqs.len(), layered.layers.len());
+        assert!(seqs.iter().all(|&s| s == seqs[0]), "{seqs:?}");
     }
 
     /// What per-edge allocation would cost on one device: every edge

@@ -13,6 +13,11 @@
 //!    execution-order-free by construction).
 //! 3. **Serving transparency** — window-coalesced batch serving returns
 //!    each request exactly the bytes solo serving returns.
+//! 4. **Executor reuse** — one executor running a sequence of inferences
+//!    (its one simulator reset between them) equals a fresh executor per
+//!    inference, outputs and full reports alike.
+
+use std::sync::Arc;
 
 use memconv::gpusim::{DeviceConfig, LaunchMode};
 use memconv::tensor::generate::TensorRng;
@@ -87,6 +92,47 @@ proptest! {
         prop_assert_eq!(ra.transactions, rb.transactions);
         for (la, lb) in ra.layers.iter().zip(rb.layers.iter()) {
             prop_assert_eq!(&la.stats, &lb.stats, "layer {} diverges", la.name);
+        }
+    }
+
+    /// The only report field allowed to differ is the plan-cache outcome:
+    /// the kept executor's cache is warm by design.
+    #[test]
+    fn one_executor_equals_a_fresh_executor_per_inference(
+        runs in prop::collection::vec(any::<u64>(), 2..5),
+        parallel in any::<bool>(),
+        threads in 1usize..4,
+    ) {
+        let exec_cfg = || GraphExecConfig {
+            record_spans: true,
+            ..if parallel {
+                cfg(LaunchMode::Parallel, Some(threads))
+            } else {
+                cfg(LaunchMode::Sequential, None)
+            }
+        };
+        let mut kept = GraphExecutor::new(exec_cfg());
+        for &r in &runs {
+            let (model, seed) = (r as usize % 4, 1 + (r >> 8) % 499);
+            let (batch, schedule) = (1 + (r >> 20) as usize % 2, (r >> 24) % 3);
+            let graph = graph_for(model, seed);
+            let s = graph.shape(graph.input());
+            let input = TensorRng::new(seed ^ 0x7E5E7).tensor(batch, s.c, s.h, s.w);
+            let mode = match schedule {
+                0 => GraphMode::Graph { fusion: FusionMode::Fused },
+                1 => GraphMode::Graph { fusion: FusionMode::Unfused },
+                _ => GraphMode::LayerAtATime,
+            };
+            let (got, mut got_rep) = kept.run(&graph, &input, mode).unwrap();
+            // Between runs the kept simulator holds no handle to the input.
+            prop_assert_eq!(Arc::strong_count(&input.shared()), 2);
+            let (want, mut want_rep) = GraphExecutor::new(exec_cfg()).run(&graph, &input, mode).unwrap();
+            prop_assert_eq!(got.as_slice(), want.as_slice());
+            prop_assert!(!got_rep.spans.is_empty());
+            for layer in got_rep.layers.iter_mut().chain(want_rep.layers.iter_mut()) {
+                layer.cache_hit = layer.cache_hit.map(|_| true);
+            }
+            prop_assert_eq!(&got_rep, &want_rep, "{:?}", mode);
         }
     }
 

@@ -18,7 +18,9 @@
 //! primitives degrade to plain sequential loops on the caller's thread —
 //! no pool, no atomics.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Number of worker threads: `MEMCONV_THREADS` if set to a nonzero integer,
 /// otherwise the host's available parallelism (at least 1).
@@ -40,48 +42,14 @@ pub fn num_threads() -> usize {
 /// Workers pull indices from a shared counter (dynamic scheduling), so
 /// uneven per-item cost still balances. The result vector is in index
 /// order regardless of completion order. A panic in `f` propagates to the
-/// caller once all workers have stopped.
+/// caller once all workers have stopped: the panic of the lowest index
+/// that panicked, whatever the thread count and timing.
 pub fn map_indexed_with<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, R)> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // join() returns Err only if the worker panicked; scope exit
-            // re-raises it, so unwrap here just forwards the payload.
-            match h.join() {
-                Ok(local) => collected.extend(local),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    collected.sort_unstable_by_key(|(i, _)| *i);
-    debug_assert_eq!(collected.len(), n);
-    collected.into_iter().map(|(_, r)| r).collect()
+    map_indexed_scoped(n, threads, || (), |i, _| f(i)).0
 }
 
 /// [`map_indexed_with`] with per-worker scratch state.
@@ -91,8 +59,15 @@ where
 /// all workers finish (in no particular order, `threads` of them at most).
 /// This is how the simulator's launch engine recycles per-worker scratch
 /// (trace arenas, store-buffer page tables) across blocks without sharing
-/// or locking on the hot path. Scheduling, ordering and panic propagation
-/// are identical to [`map_indexed_with`].
+/// or locking on the hot path. Scheduling and ordering are those of
+/// [`map_indexed_with`].
+///
+/// Panics resume in index order, not join order: each worker catches its
+/// item's panic and stops, the others stop claiming, and the lowest
+/// panicking index's payload is resumed. Indices are claimed in ascending
+/// order, so every index below it was claimed and completed — it is the
+/// item a sequential loop would have stopped at (the simulator's parallel
+/// engine relies on this to report the lowest faulting block).
 pub fn map_indexed_scoped<R, S, I, F>(n: usize, threads: usize, init: I, f: F) -> (Vec<R>, Vec<S>)
 where
     R: Send,
@@ -108,35 +83,50 @@ where
     }
 
     let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
     let mut collected: Vec<(usize, R)> = Vec::with_capacity(n);
     let mut states: Vec<S> = Vec::with_capacity(threads);
+    let mut first_panic: Option<(usize, Box<dyn Any + Send>)> = None;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
                     let mut state = init();
                     let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
+                    let mut panicked = None;
+                    while !failed.load(Ordering::Relaxed) {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        local.push((i, f(i, &mut state)));
+                        match catch_unwind(AssertUnwindSafe(|| f(i, &mut state))) {
+                            Ok(r) => local.push((i, r)),
+                            Err(payload) => {
+                                failed.store(true, Ordering::Relaxed);
+                                panicked = Some((i, payload));
+                                break;
+                            }
+                        }
                     }
-                    (local, state)
+                    (local, state, panicked)
                 })
             })
             .collect();
         for h in handles {
-            match h.join() {
-                Ok((local, state)) => {
-                    collected.extend(local);
-                    states.push(state);
+            // Only `init` can still panic here; items' panics are caught.
+            let (local, state, panicked) = h.join().unwrap_or_else(|p| resume_unwind(p));
+            collected.extend(local);
+            states.push(state);
+            if let Some((i, payload)) = panicked {
+                if first_panic.as_ref().map_or(true, |(lowest, _)| i < *lowest) {
+                    first_panic = Some((i, payload));
                 }
-                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
+    if let Some((_, payload)) = first_panic {
+        resume_unwind(payload);
+    }
 
     collected.sort_unstable_by_key(|(i, _)| *i);
     debug_assert_eq!(collected.len(), n);
@@ -334,6 +324,34 @@ mod tests {
                 i
             },
         );
+    }
+
+    /// The lowest panicking index wins, not the first worker joined or the
+    /// first to panic: item 1 panics late, item 2 at once, and item 1's
+    /// payload is resumed every time.
+    #[test]
+    fn map_indexed_scoped_resumes_the_lowest_panicking_index() {
+        for _ in 0..20 {
+            let caught = std::panic::catch_unwind(|| {
+                map_indexed_scoped(
+                    4,
+                    2,
+                    || (),
+                    |i, _| {
+                        if i == 1 {
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            panic!("item 1");
+                        }
+                        if i == 2 {
+                            panic!("item 2");
+                        }
+                        i
+                    },
+                )
+            });
+            let payload = caught.expect_err("items 1 and 2 panic");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 1"));
+        }
     }
 
     #[test]

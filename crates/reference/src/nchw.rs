@@ -2,6 +2,8 @@
 //! plus the geometry-general variant covering grouped/depthwise, strided
 //! and dilated shapes.
 
+use std::ops::Range;
+
 use memconv_tensor::{ConvGeometry, FilterBank, Tensor4};
 
 /// Direct NCHW convolution: `out[n][f][oy][ox] = Σ_c Σ_r Σ_s
@@ -10,105 +12,15 @@ use memconv_tensor::{ConvGeometry, FilterBank, Tensor4};
 /// Accumulation order is `c`-outer, then row-major over the filter — the
 /// order the simulated multi-channel kernels preserve. Each `(n, f)` plane
 /// is computed tap by tap over whole output rows ([`nchw_plane`]), which
-/// keeps that per-output order and rounds each step once.
+/// keeps that per-output order and rounds each step once. This is the
+/// unit-axes case of [`conv_nchw_ref_geo`]'s body.
 pub fn conv_nchw_ref(input: &Tensor4, weights: &FilterBank) -> Tensor4 {
     let (n, c, ih, iw) = input.dims();
     assert_eq!(c, weights.channels(), "channel mismatch");
     let (fh, fw) = (weights.fh(), weights.fw());
     assert!(ih >= fh && iw >= fw, "filter larger than input");
-    let (oh, ow) = (ih - fh + 1, iw - fw + 1);
-    let fn_ = weights.num_filters();
-
-    let plane = oh * ow;
-    let image = c * ih * iw;
-    let bank = c * fh * fw;
-    let shape = PlaneShape {
-        c,
-        iw,
-        fh,
-        fw,
-        oh,
-        ow,
-    };
-    let mut data = vec![0.0f32; n * fn_ * plane];
-    memconv_par::for_each_chunk_mut(&mut data, plane, |nf, out| {
-        let in_n = nf / fn_;
-        let f = nf % fn_;
-        let x = &input.as_slice()[in_n * image..(in_n + 1) * image];
-        let w = &weights.as_slice()[f * bank..(f + 1) * bank];
-        nchw_plane(x, w, shape, out);
-    });
-    Tensor4::from_vec(n, fn_, oh, ow, data).expect("shape by construction")
-}
-
-/// The dimensions [`nchw_plane`] works in.
-#[derive(Debug, Clone, Copy)]
-struct PlaneShape {
-    c: usize,
-    iw: usize,
-    fh: usize,
-    fw: usize,
-    oh: usize,
-    ow: usize,
-}
-
-/// One output plane of [`conv_nchw_ref`] into the zeroed `out`, from one
-/// image `x` (`C × IH × IW`) and one filter `w` (`C × FH × FW`). Loops
-/// run `c, r, s, oy` with the output row innermost, so every output still
-/// accumulates its taps `c`-outer and row-major, one fused multiply-add
-/// each. Runs on the host's FMA unit when it has one and on the portable
-/// body otherwise; both round once per tap, so the bits do not depend on
-/// the host.
-#[allow(unsafe_code)]
-fn nchw_plane(x: &[f32], w: &[f32], shape: PlaneShape, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: `nchw_plane_fma` needs only the `fma` target feature, and
-        // `is_x86_feature_detected!("fma")` just confirmed this CPU has it.
-        return unsafe { nchw_plane_fma(x, w, shape, out) };
-    }
-    nchw_plane_portable(x, w, shape, out);
-}
-
-/// The portable body of [`nchw_plane`]. Always inlined, so that inside
-/// `nchw_plane_fma` each `f32::mul_add` compiles to a hardware FMA.
-#[inline(always)]
-fn nchw_plane_portable(x: &[f32], w: &[f32], shape: PlaneShape, out: &mut [f32]) {
-    let PlaneShape {
-        c,
-        iw,
-        fh,
-        fw,
-        oh,
-        ow,
-    } = shape;
-    let ih = oh + fh - 1;
-    for ch in 0..c {
-        let x = &x[ch * ih * iw..(ch + 1) * ih * iw];
-        for r in 0..fh {
-            for s in 0..fw {
-                let tap = w[(ch * fh + r) * fw + s];
-                for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
-                    let start = (oy + r) * iw + s;
-                    for (o, &v) in out_row.iter_mut().zip(&x[start..start + ow]) {
-                        *o = v.mul_add(tap, *o);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// [`nchw_plane_portable`] compiled with the `fma` target feature.
-///
-/// # Safety
-///
-/// The running CPU must support the `fma` target feature.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn nchw_plane_fma(x: &[f32], w: &[f32], shape: PlaneShape, out: &mut [f32]) {
-    nchw_plane_portable(x, w, shape, out);
+    let g = ConvGeometry::nchw(n, c, ih, iw, weights.num_filters(), fh, fw);
+    conv_planes(input, weights, PlaneShape::of(&g), |_| 0)
 }
 
 /// Geometry-general direct NCHW convolution: groups, stride, dilation and
@@ -117,7 +29,9 @@ unsafe fn nchw_plane_fma(x: &[f32], w: &[f32], shape: PlaneShape, out: &mut [f32
 ///
 /// `out[n][f][oy][ox] = Σ_cg Σ_r Σ_s
 /// in[n][g·CPG+cg][oy·SH + r·DH − pad][ox·SW + s·DW − pad] · w[f][cg][r][s]`
-/// where `g = f / (FN/groups)` and out-of-image taps contribute zero.
+/// where `g = f / (FN/groups)` and out-of-image taps contribute zero: they
+/// are skipped, not multiplied by a zero (`0·∞` is NaN, and `−0 + +0` is
+/// `+0`). Each plane runs on [`nchw_plane`], like [`conv_nchw_ref`]'s.
 ///
 /// The weight bank carries `IC/groups` channels per filter
 /// (`FilterBank::channels() == g.channels_per_group()`).
@@ -143,46 +57,179 @@ pub fn conv_nchw_ref_geo(input: &Tensor4, weights: &FilterBank, g: &ConvGeometry
         (g.f_h, g.f_w),
         "filter-size mismatch"
     );
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let fn_ = g.out_channels;
-    let (fh, fw) = (g.f_h, g.f_w);
-    let cpg = g.channels_per_group();
-    let fpg = g.filters_per_group();
-    let (sh, sw) = (g.stride_h, g.stride_w);
-    let (dh, dw) = (g.dil_h, g.dil_w);
-    let (pad_h, pad_w) = (g.pad_h as i64, g.pad_w as i64);
+    let (cpg, fpg) = (g.channels_per_group(), g.filters_per_group());
+    conv_planes(input, weights, PlaneShape::of(g), |f| (f / fpg) * cpg)
+}
 
-    let plane = oh * ow;
+/// Every `(n, f)` output plane, filter `f` reading the `shape.c` input
+/// channels from `first_channel(f)`.
+fn conv_planes(
+    input: &Tensor4,
+    weights: &FilterBank,
+    shape: PlaneShape,
+    first_channel: impl Fn(usize) -> usize + Sync,
+) -> Tensor4 {
+    let (n, c, ih, iw) = input.dims();
+    let fn_ = weights.num_filters();
+    let plane = shape.oh * shape.ow;
+    let group_image = shape.c * ih * iw;
+    let bank = shape.c * shape.fh * shape.fw;
     let mut data = vec![0.0f32; n * fn_ * plane];
     memconv_par::for_each_chunk_mut(&mut data, plane, |nf, out| {
         let in_n = nf / fn_;
         let f = nf % fn_;
-        let c0 = (f / fpg) * cpg;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0f32;
-                for cg in 0..cpg {
-                    for r in 0..fh {
-                        let iy = (oy * sh + r * dh) as i64 - pad_h;
-                        if iy < 0 || iy as usize >= ih {
-                            continue;
+        let x0 = (in_n * c + first_channel(f)) * ih * iw;
+        let x = &input.as_slice()[x0..x0 + group_image];
+        let w = &weights.as_slice()[f * bank..(f + 1) * bank];
+        nchw_plane(x, w, &shape, out);
+    });
+    Tensor4::from_vec(n, fn_, shape.oh, shape.ow, data).expect("shape by construction")
+}
+
+/// What [`nchw_plane`] works from: `c` input channels of `ih × iw`, a
+/// `c × fh × fw` filter, an `oh × ow` output and the strides, and each
+/// filter row's and column's reach, worked out once per convolution.
+#[derive(Debug, Clone)]
+struct PlaneShape {
+    c: usize,
+    ih: usize,
+    iw: usize,
+    fh: usize,
+    fw: usize,
+    oh: usize,
+    ow: usize,
+    sh: usize,
+    sw: usize,
+    /// Per filter row: the output rows it reaches inside the image, and
+    /// the input row of the first of them.
+    rows: Vec<(Range<usize>, usize)>,
+    /// Per filter column: the output columns it reaches inside the image,
+    /// and the input column of the first of them.
+    cols: Vec<(Range<usize>, usize)>,
+}
+
+impl PlaneShape {
+    /// The plane of one filter group of `g`.
+    fn of(g: &ConvGeometry) -> Self {
+        PlaneShape {
+            c: g.channels_per_group(),
+            ih: g.in_h,
+            iw: g.in_w,
+            fh: g.f_h,
+            fw: g.f_w,
+            oh: g.out_h(),
+            ow: g.out_w(),
+            sh: g.stride_h,
+            sw: g.stride_w,
+            rows: (0..g.f_h)
+                .map(|r| reach(g.out_h(), g.stride_h, r * g.dil_h, g.pad_h, g.in_h))
+                .collect(),
+            cols: (0..g.f_w)
+                .map(|s| reach(g.out_w(), g.stride_w, s * g.dil_w, g.pad_w, g.in_w))
+                .collect(),
+        }
+    }
+}
+
+/// The outputs `o < out_len` whose input index `o·stride + offset − pad`
+/// lies in `0..in_len` — the outputs one filter tap reaches inside the
+/// image, consecutive as the index grows with `o` — and the input index
+/// of the first (0 when there is none).
+fn reach(
+    out_len: usize,
+    stride: usize,
+    offset: usize,
+    pad: usize,
+    in_len: usize,
+) -> (Range<usize>, usize) {
+    let hi = match (in_len + pad).checked_sub(offset + 1) {
+        Some(last) => (last / stride + 1).min(out_len),
+        None => 0,
+    };
+    let lo = pad.saturating_sub(offset).div_ceil(stride).min(hi);
+    let first = if lo < hi {
+        lo * stride + offset - pad
+    } else {
+        0
+    };
+    (lo..hi, first)
+}
+
+/// One output plane into the zeroed `out`, from one group's image `x`
+/// (`C × IH × IW`) and one filter `w` (`C × FH × FW`). Loops run
+/// `c, r, s, oy` with the tap's in-image output columns innermost, so
+/// every output still accumulates its in-image taps `c`-outer and
+/// row-major, one fused multiply-add each, and skips exactly its
+/// out-of-image taps. Runs on the host's FMA unit when it has one and on
+/// the portable body otherwise; both round once per tap, so the bits do
+/// not depend on the host.
+#[allow(unsafe_code)]
+fn nchw_plane(x: &[f32], w: &[f32], shape: &PlaneShape, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: `nchw_plane_fma` needs only the `fma` target feature, and
+        // `is_x86_feature_detected!("fma")` just confirmed this CPU has it.
+        return unsafe { nchw_plane_fma(x, w, shape, out) };
+    }
+    nchw_plane_portable(x, w, shape, out);
+}
+
+/// The portable body of [`nchw_plane`]. Always inlined, so that inside
+/// `nchw_plane_fma` each `f32::mul_add` compiles to a hardware FMA.
+#[inline(always)]
+fn nchw_plane_portable(x: &[f32], w: &[f32], shape: &PlaneShape, out: &mut [f32]) {
+    let PlaneShape {
+        c,
+        ih,
+        iw,
+        fh,
+        fw,
+        ow,
+        sh,
+        sw,
+        ..
+    } = *shape;
+    for ch in 0..c {
+        let x = &x[ch * ih * iw..(ch + 1) * ih * iw];
+        for (r, (rows, iy0)) in shape.rows.iter().enumerate() {
+            for (s, (cols, ix0)) in shape.cols.iter().enumerate() {
+                if cols.is_empty() {
+                    continue;
+                }
+                let tap = w[(ch * fh + r) * fw + s];
+                let out_rows = &mut out[rows.start * ow..rows.end * ow];
+                for (k, out_row) in out_rows.chunks_exact_mut(ow).enumerate() {
+                    let out_row = &mut out_row[cols.clone()];
+                    let start = (iy0 + k * sh) * iw + ix0;
+                    // Unit stride zips two slices, which the compiler
+                    // vectorizes; a `step_by` zip stays scalar (2.6× slower
+                    // on the serving shapes, EXPERIMENTS.md).
+                    if sw == 1 {
+                        let src = &x[start..start + out_row.len()];
+                        for (o, &v) in out_row.iter_mut().zip(src) {
+                            *o = v.mul_add(tap, *o);
                         }
-                        for s in 0..fw {
-                            let ix = (ox * sw + s * dw) as i64 - pad_w;
-                            if ix < 0 || ix as usize >= iw {
-                                continue;
-                            }
-                            acc = input
-                                .get(in_n, c0 + cg, iy as usize, ix as usize)
-                                .mul_add(weights.get(f, cg, r, s), acc);
+                    } else {
+                        for (o, &v) in out_row.iter_mut().zip(x[start..].iter().step_by(sw)) {
+                            *o = v.mul_add(tap, *o);
                         }
                     }
                 }
-                out[oy * ow + ox] = acc;
             }
         }
-    });
-    Tensor4::from_vec(n, fn_, oh, ow, data).expect("shape by construction")
+    }
+}
+
+/// [`nchw_plane_portable`] compiled with the `fma` target feature.
+///
+/// # Safety
+///
+/// The running CPU must support the `fma` target feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(unsafe_code)]
+unsafe fn nchw_plane_fma(x: &[f32], w: &[f32], shape: &PlaneShape, out: &mut [f32]) {
+    nchw_plane_portable(x, w, shape, out);
 }
 
 #[cfg(test)]
@@ -213,6 +260,70 @@ mod tests {
             }
             acc
         })
+    }
+
+    /// The per-element loop [`conv_nchw_ref_geo`] ran before it worked in
+    /// planes, kept as its oracle: one output at a time, in-image taps
+    /// `c`-outer and row-major through `Tensor4::get`, out-of-image taps
+    /// skipped.
+    fn per_element_geo_oracle(input: &Tensor4, weights: &FilterBank, g: &ConvGeometry) -> Tensor4 {
+        let (n, _, ih, iw) = input.dims();
+        let (cpg, fpg) = (g.channels_per_group(), g.filters_per_group());
+        let (pad_h, pad_w) = (g.pad_h as i64, g.pad_w as i64);
+        Tensor4::from_fn(
+            n,
+            g.out_channels,
+            g.out_h(),
+            g.out_w(),
+            |in_n, f, oy, ox| {
+                let c0 = (f / fpg) * cpg;
+                let mut acc = 0.0f32;
+                for cg in 0..cpg {
+                    for r in 0..g.f_h {
+                        let iy = (oy * g.stride_h + r * g.dil_h) as i64 - pad_h;
+                        if iy < 0 || iy as usize >= ih {
+                            continue;
+                        }
+                        for s in 0..g.f_w {
+                            let ix = (ox * g.stride_w + s * g.dil_w) as i64 - pad_w;
+                            if ix < 0 || ix as usize >= iw {
+                                continue;
+                            }
+                            acc = input
+                                .get(in_n, c0 + cg, iy as usize, ix as usize)
+                                .mul_add(weights.get(f, cg, r, s), acc);
+                        }
+                    }
+                }
+                acc
+            },
+        )
+    }
+
+    /// A random geometry of every axis: groups, stride, dilation and
+    /// explicit padding up to three (wider than some filters, so whole
+    /// output rows and columns see only padding); `None` when it does not
+    /// validate.
+    #[allow(clippy::too_many_arguments)]
+    fn random_geometry(
+        n: usize,
+        groups: usize,
+        cpg: usize,
+        fpg: usize,
+        f: (usize, usize),
+        input: (usize, usize),
+        stride: (usize, usize),
+        dil: (usize, usize),
+        pad: (usize, usize),
+    ) -> Option<ConvGeometry> {
+        ConvGeometry::nchw(n, groups * cpg, input.0, input.1, groups * fpg, f.0, f.1)
+            .with_stride(stride.0, stride.1)
+            .with_dilation(dil.0, dil.1)
+            .with_groups(groups)
+            .with_padding(memconv_tensor::Padding::Explicit(pad.0, pad.1))
+            .ok()?
+            .validate()
+            .ok()
     }
 
     /// A value of one of the classes a reference must round exactly:
@@ -264,21 +375,58 @@ mod tests {
                          "{:?} vs {:?}", got.as_slice(), want.as_slice());
         }
 
-        /// The host-FMA dispatch and the portable body (calling the library
-        /// `fmaf` outside the `fma` target feature) agree bit for bit.
+        /// The geometry-general planes equal the per-element loop bit for
+        /// bit over random groups, stride, dilation and padding, on finite
+        /// data and on every value class mixed: a tap in the padding is
+        /// skipped, not multiplied by zero (`0·∞` would be NaN, and
+        /// `−0 + +0` would turn a `−0` sum into `+0`).
         #[test]
-        fn fma_and_portable_planes_agree(c in 1usize..3, fh in 1usize..4, fw in 1usize..4,
-                                         oh in 1usize..5, ow in 1usize..9,
+        fn geo_planes_match_per_element_loop(n in 1usize..3, groups in 1usize..4,
+                                             cpg in 1usize..3, fpg in 1usize..3,
+                                             fh in 1usize..4, fw in 1usize..4,
+                                             ih in 1usize..10, iw in 1usize..12,
+                                             sh in 1usize..4, sw in 1usize..4,
+                                             dh in 1usize..3, dw in 1usize..3,
+                                             pad_h in 0usize..4, pad_w in 0usize..4,
+                                             seed in any::<u64>(), finite in any::<bool>()) {
+            let g = random_geometry(n, groups, cpg, fpg, (fh, fw), (ih, iw), (sh, sw),
+                                    (dh, dw), (pad_h, pad_w));
+            prop_assume!(g.is_some());
+            let g = g.unwrap();
+            let mut r = seed;
+            let mut next = || {
+                r = r.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let v = class_value(r ^ r >> 29);
+                if finite && !v.is_finite() { 1.0 } else { v }
+            };
+            let input = Tensor4::from_fn(n, groups * cpg, ih, iw, |_, _, _, _| next());
+            let weights = FilterBank::from_fn(groups * fpg, cpg, fh, fw, |_, _, _, _| next());
+            let got = conv_nchw_ref_geo(&input, &weights, &g);
+            let want = per_element_geo_oracle(&input, &weights, &g);
+            prop_assert!(same_bits(got.as_slice(), want.as_slice()),
+                         "{:?}: {:?} vs {:?}", g, got.as_slice(), want.as_slice());
+        }
+
+        /// The host-FMA dispatch and the portable body (calling the library
+        /// `fmaf` outside the `fma` target feature) agree bit for bit, at
+        /// unit axes and at every other geometry.
+        #[test]
+        fn fma_and_portable_planes_agree(cpg in 1usize..3, fh in 1usize..4, fw in 1usize..4,
+                                         ih in 1usize..8, iw in 1usize..12,
+                                         sh in 1usize..3, sw in 1usize..3,
+                                         dh in 1usize..3, dw in 1usize..3,
+                                         pad_h in 0usize..3, pad_w in 0usize..3,
                                          vals in prop::collection::vec(any::<u64>(), 256usize)) {
-            let iw = ow + fw - 1;
-            let ih = oh + fh - 1;
-            let x: Vec<f32> = (0..c * ih * iw).map(|i| class_value(vals[i % 256] ^ i as u64)).collect();
-            let w: Vec<f32> = (0..c * fh * fw).map(|i| class_value(vals[255 - i % 256])).collect();
-            let shape = PlaneShape { c, iw, fh, fw, oh, ow };
-            let mut dispatched = vec![0.0f32; oh * ow];
-            let mut portable = vec![0.0f32; oh * ow];
-            nchw_plane(&x, &w, shape, &mut dispatched);
-            nchw_plane_portable(&x, &w, shape, &mut portable);
+            let g = random_geometry(1, 1, cpg, 1, (fh, fw), (ih, iw), (sh, sw), (dh, dw),
+                                    (pad_h, pad_w));
+            prop_assume!(g.is_some());
+            let shape = PlaneShape::of(&g.unwrap());
+            let x: Vec<f32> = (0..cpg * ih * iw).map(|i| class_value(vals[i % 256] ^ i as u64)).collect();
+            let w: Vec<f32> = (0..cpg * fh * fw).map(|i| class_value(vals[255 - i % 256])).collect();
+            let mut dispatched = vec![0.0f32; shape.oh * shape.ow];
+            let mut portable = vec![0.0f32; shape.oh * shape.ow];
+            nchw_plane(&x, &w, &shape, &mut dispatched);
+            nchw_plane_portable(&x, &w, &shape, &mut portable);
             prop_assert!(same_bits(&dispatched, &portable));
         }
     }
