@@ -29,6 +29,9 @@
 //! planning cost (the phantom run and the affine fit), `measure_s` the
 //! measured run it is checked against. Both are host seconds, printed in
 //! the table's last two columns; `wall_clock_s` in the JSON is their sum.
+//! The last line sums both columns over the zoo rows and prints their
+//! ratio — the oracle's cost against the runs it predicts, on this host,
+//! for the engine that ran. It is printed only, never gated.
 
 use memconv::gpusim::LaunchMode;
 use memconv::oracle::{predict_2d, predict_nchw, transaction_signature, Prediction};
@@ -297,6 +300,16 @@ fn main() {
             std::process::exit(1);
         }
         println!("wrote {path} ({} rows)", items.len());
+    }
+
+    let predict_s: f64 = rows.iter().filter(first_party).map(|r| r.predict_s).sum();
+    let measure_s: f64 = rows.iter().filter(first_party).map(|r| r.measure_s).sum();
+    if checked > 0 {
+        println!(
+            "oracle cost, {mode_name} engine: predict {predict_s:.3} s, measure {measure_s:.3} s, \
+             ratio {:.2} over {checked} rows",
+            predict_s / measure_s
+        );
     }
 
     if gate && !gate_pass {

@@ -35,9 +35,10 @@ use crate::analysis::{
 use crate::device::DeviceConfig;
 use crate::faults::{self, BlockFaults, FaultLog, FaultPlan};
 use crate::lane::{LaneMask, VF, VU, WARP};
+use crate::memory::global::{read_oob, write_oob};
 use crate::memory::hierarchy::{
-    flush_l2, l1_geometry, l2_geometry, phantom_access, renew, replay_trace, warp_access,
-    warp_access_span, L2Sink, Space,
+    flush_l2, l1_geometry, l2_geometry, phantom_access, phantom_access_span, renew, replay_trace,
+    warp_access, warp_access_span, L2Sink, Space,
 };
 use crate::memory::{BufId, GlobalMem, LaneRun, SectoredCache, SharedMem};
 use crate::obs::{LaunchSpanRecord, SpanConfig, SpanScratch};
@@ -666,15 +667,20 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// (compute-sanitizer-style report-and-continue); plain launches keep
     /// the hard OOB panic.
     ///
-    /// A lane run ([`LaneRun`]) outside phantom and analysis runs takes the
-    /// span path: sectors from the span's ends and, in the sequential
-    /// engine, one copy. Counters, cache state, fault draws, values and
-    /// panics are those of the per-lane path.
+    /// A lane run ([`LaneRun`]) outside analysis runs takes the span path:
+    /// sectors from the span's ends and, in the sequential engine, one copy
+    /// (under phantom execution, no copy: see [`WarpCtx::phantom_span`]).
+    /// Counters, cache state, fault draws, values and panics are those of
+    /// the per-lane path.
     #[track_caller]
     pub fn gld(&mut self, buf: BufId, idx: &VU, mask: LaneMask) -> VF {
         let site = SiteId::caller();
         self.res.tick(1);
-        if let Some(run) = self.plain_run(idx, mask) {
+        if let Some(run) = self.span_run(idx, mask) {
+            if let Some(ph) = self.res.phantom {
+                self.phantom_span(site, buf, run, mask, false);
+                return phantom_values(ph, mask);
+            }
             self.run_access(buf, run, false);
             let mut v = self.res.glob.read_run(buf, idx, mask, run);
             self.corrupt_global_load(&mut v, mask);
@@ -695,13 +701,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             // Bounds parity with the real path: perform the read (OOB
             // panics byte-identically) but discard the data.
             let _ = self.res.glob.read_lanes(buf, idx, mask);
-            return VF::from_fn(|l| {
-                if mask.get(l) {
-                    ph.canary + l as f32
-                } else {
-                    0.0
-                }
-            });
+            return phantom_values(ph, mask);
         }
         let txns = warp_access(
             self.res.dev,
@@ -725,14 +725,58 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     }
 
     /// The lane run of `idx` under `mask` when the span path may take it:
-    /// not under phantom execution or hazard analysis, which instrument
-    /// every lane.
+    /// not under hazard analysis, which instruments every lane.
     #[inline]
-    fn plain_run(&self, idx: &VU, mask: LaneMask) -> Option<LaneRun> {
-        if self.res.phantom.is_some() || self.res.analysis.is_some() {
+    fn span_run(&self, idx: &VU, mask: LaneMask) -> Option<LaneRun> {
+        if self.res.analysis.is_some() {
             return None;
         }
         LaneRun::of(idx, mask)
+    }
+
+    /// A lane run of `buf` under phantom execution, for `mask` (the run's
+    /// lanes): its transactions from the span's two ends, as
+    /// [`warp_access_span`] counts them, the request recorded with its
+    /// known affine form (lane stride 4 B), and the bounds checked once,
+    /// with the per-lane path's panic text — at the first lane past the
+    /// end for a load (lanes ascend), at the last lane for a store (lanes
+    /// descend). Out of line, so the plain span path it branches from stays
+    /// as small as before.
+    #[inline(never)]
+    fn phantom_span(
+        &mut self,
+        site: SiteId,
+        buf: BufId,
+        run: LaneRun,
+        mask: LaneMask,
+        is_store: bool,
+    ) {
+        let first = self.res.glob.buf_base(buf) + u64::from(run.start) * 4;
+        let txns = phantom_access_span(
+            self.res.dev,
+            self.res.stats,
+            first,
+            run.n as u64 * 4,
+            is_store,
+        );
+        let model = self.sector_model();
+        if let Some(s) = self.res.sym.as_deref_mut() {
+            let class = if is_store {
+                AccessClass::GlobalStore
+            } else {
+                AccessClass::GlobalLoad
+            };
+            let base = i128::from(first) - 4 * run.lo as i128;
+            s.record_affine(site, class, base, 4, mask, txns, model);
+        }
+        let len = self.res.glob.len(buf);
+        let end = run.start as usize + run.n;
+        if end > len {
+            if is_store {
+                write_oob(buf, len, (end - 1) as u32);
+            }
+            read_oob(buf, len, len.max(run.start as usize) as u32);
+        }
     }
 
     /// Send a lane run of `buf` through the L1 and L2 as one byte span.
@@ -772,7 +816,11 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     pub fn gst(&mut self, buf: BufId, idx: &VU, val: &VF, mask: LaneMask) {
         let site = SiteId::caller();
         self.res.tick(1);
-        if let Some(run) = self.plain_run(idx, mask) {
+        if let Some(run) = self.span_run(idx, mask) {
+            if self.res.phantom.is_some() {
+                self.phantom_span(site, buf, run, mask, true);
+                return;
+            }
             self.run_access(buf, run, true);
             self.res.glob.write_run(buf, idx, val, mask, run);
             return;
@@ -800,10 +848,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 }
                 let i = idx.lane(l);
                 if i as usize >= len {
-                    panic!(
-                        "device write OOB: buffer {} has {len} elems, index {}",
-                        buf.0, i
-                    );
+                    write_oob(buf, len, i);
                 }
             }
             return;
@@ -852,11 +897,16 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         safe
     }
 
-    /// Feed one request to the symbolic collector (phantom mode only; a
-    /// no-op otherwise). The prediction model is implied by the access
-    /// class — sectors for global/local, banks for scalar shared; the
-    /// vectorized shared load overrides it via
-    /// [`WarpCtx::sym_record_model`].
+    /// The global/local coalescer's closed-form model: 32 B sectors.
+    fn sector_model(&self) -> PredictModel {
+        PredictModel::Sectors {
+            sector_bytes: self.res.dev.sector_bytes as u64,
+        }
+    }
+
+    /// Feed one global or local request's byte addresses to the symbolic
+    /// collector under the sector model (phantom mode only; a no-op
+    /// otherwise).
     fn sym_record(
         &mut self,
         site: SiteId,
@@ -866,32 +916,36 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         measured: u64,
         dynamic: bool,
     ) {
-        let model = match class {
-            AccessClass::SharedLoad | AccessClass::SharedStore => PredictModel::Banks {
-                banks: self.res.dev.smem_banks as u32,
-            },
-            _ => PredictModel::Sectors {
-                sector_bytes: self.res.dev.sector_bytes as u64,
-            },
+        let model = self.sector_model();
+        let Some(s) = self.res.sym.as_deref_mut() else {
+            return;
         };
-        self.sym_record_model(site, class, vals, mask, measured, model, dynamic);
+        s.record(site, class, vals, mask, measured, model, dynamic);
     }
 
-    /// [`WarpCtx::sym_record`] with an explicit prediction model.
-    #[allow(clippy::too_many_arguments)]
-    fn sym_record_model(
+    /// Feed one shared-memory request's word indices to the symbolic
+    /// collector (phantom mode only): under the bank model, or, for a
+    /// vectorized load (`banked` false), whose pass count is a segment
+    /// property, classified and hashed with no closed-form obligation.
+    fn sym_words(
         &mut self,
         site: SiteId,
         class: AccessClass,
-        vals: &[u64; WARP],
+        idx: &VU,
         mask: LaneMask,
         measured: u64,
-        model: PredictModel,
-        dynamic: bool,
+        banked: bool,
     ) {
-        if let Some(s) = self.res.sym.as_deref_mut() {
-            s.record(site, class, vals, mask, measured, model, dynamic);
-        }
+        let banks = self.res.dev.smem_banks as u32;
+        let Some(s) = self.res.sym.as_deref_mut() else {
+            return;
+        };
+        let model = if banked {
+            PredictModel::Banks { banks }
+        } else {
+            PredictModel::Measured
+        };
+        s.record_words(site, class, idx, mask, measured, model);
     }
 
     /// Constant-memory broadcast load: one uniform element of `buf` read
@@ -943,10 +997,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         self.res.stats.smem_accesses += 1;
         self.res.stats.smem_passes += passes;
         self.record_shared(site, idx, mask, eff, passes, 1, false);
-        if self.res.sym.is_some() {
-            let words = std::array::from_fn(|l| idx.lane(l) as u64);
-            self.sym_record(site, AccessClass::SharedLoad, &words, eff, passes, false);
-        }
+        self.sym_words(site, AccessClass::SharedLoad, idx, eff, passes, true);
         self.shared_faulted(idx, eff, 1);
         v
     }
@@ -962,20 +1013,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         self.res.stats.smem_accesses += 1;
         self.res.stats.smem_passes += passes;
         self.record_shared(site, idx, mask, eff, passes, K as u32, false);
-        if self.res.sym.is_some() {
-            // Vectorized loads have a segment-based pass model; the site is
-            // classified and hashed but carries no closed-form obligation.
-            let words = std::array::from_fn(|l| idx.lane(l) as u64);
-            self.sym_record_model(
-                site,
-                AccessClass::SharedLoad,
-                &words,
-                eff,
-                passes,
-                PredictModel::Measured,
-                false,
-            );
-        }
+        self.sym_words(site, AccessClass::SharedLoad, idx, eff, passes, false);
         self.shared_faulted(idx, eff, K as u32);
         v
     }
@@ -990,10 +1028,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         self.res.stats.smem_accesses += 1;
         self.res.stats.smem_passes += passes;
         self.record_shared(site, idx, mask, eff, passes, 1, true);
-        if self.res.sym.is_some() {
-            let words = std::array::from_fn(|l| idx.lane(l) as u64);
-            self.sym_record(site, AccessClass::SharedStore, &words, eff, passes, false);
-        }
+        self.sym_words(site, AccessClass::SharedStore, idx, eff, passes, true);
         self.shared_faulted(idx, eff, 1);
     }
 
@@ -1130,6 +1165,18 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     }
 }
 
+/// What a phantom global load returns: lane `l` reads `canary + l` when
+/// active, 0.0 otherwise.
+fn phantom_values(ph: PhantomConfig, mask: LaneMask) -> VF {
+    VF::from_fn(|l| {
+        if mask.get(l) {
+            ph.canary + l as f32
+        } else {
+            0.0
+        }
+    })
+}
+
 /// A block's on-chip state: its L1 and its shared-memory arena. Kept
 /// across blocks and launches, and made equal to a fresh block's state by
 /// [`OnChip::renew`] before each block runs.
@@ -1161,16 +1208,18 @@ impl OnChip {
 }
 
 /// Recyclable per-block working state for the parallel engine: the trace
-/// arena, the store-buffer page tables and the on-chip state. Pooled per
-/// [`GpuSim`] and recycled across blocks *and* launches — phase 1 hands
-/// each worker a private stash, phase 2 returns drained
-/// (capacity-retaining) scratch to the pool — so steady-state launches
-/// allocate nothing per block.
+/// arena, the store-buffer page tables, the on-chip state and the symbolic
+/// collector. Pooled per [`GpuSim`] and recycled across blocks *and*
+/// launches — phase 1 hands each worker a private stash, phase 2 returns
+/// drained (capacity-retaining) scratch to the pool — so steady-state
+/// launches allocate nothing per block.
 #[derive(Debug)]
 struct BlockScratch {
     trace: BlockTrace,
     store: StoreBuffer,
     on_chip: OnChip,
+    /// Used by phantom launches only; arrives cleared.
+    sym: SymBlockCollector,
 }
 
 impl BlockScratch {
@@ -1181,6 +1230,7 @@ impl BlockScratch {
             trace: BlockTrace::new(),
             store: StoreBuffer::with_footprint_hint(hint_words),
             on_chip: OnChip::new(),
+            sym: SymBlockCollector::for_block(),
         }
     }
 }
@@ -1197,10 +1247,6 @@ struct BlockOutcome {
     /// Fault-injection state, present only when a [`FaultPlan`] is armed;
     /// its log merges in block-linear order during phase 2, like hazards.
     faults: Option<BlockFaults>,
-    /// Symbolic site state, present only under a phantom launch; merged
-    /// into the launch collector in block-linear order during phase 2, so
-    /// [`SymReport`]s are identical across [`LaunchMode`]s.
-    sym: Option<SymBlockCollector>,
 }
 
 /// Run one block functionally against a memory snapshot, recording its
@@ -1219,9 +1265,10 @@ fn run_block_traced(
         mut trace,
         store,
         mut on_chip,
+        mut sym,
     } = scratch;
     debug_assert!(
-        trace.is_empty() && store.is_empty(),
+        trace.is_empty() && store.is_empty() && sym.site_count() == 0,
         "scratch arrives drained"
     );
     let mut stats = KernelStats::default();
@@ -1229,7 +1276,6 @@ fn run_block_traced(
     let mut faults = env
         .faults
         .map(|p| BlockFaults::new(&p, env.launch_seq, linear));
-    let mut sym = env.phantom.map(|_| SymBlockCollector::for_block());
     let (l1, shared) = on_chip.renew(dev, cfg.shared_words);
     let mut blk = BlockCtx {
         res: Resources {
@@ -1242,7 +1288,7 @@ fn run_block_traced(
             analysis: collector.as_mut(),
             faults: faults.as_mut(),
             phantom: env.phantom,
-            sym: sym.as_mut(),
+            sym: env.phantom.map(|_| &mut sym),
             watchdog: env.watchdog.map(|budget| Watchdog { budget, issued: 0 }),
         },
         block_idx: cfg.coords(linear),
@@ -1260,10 +1306,10 @@ fn run_block_traced(
             trace,
             store,
             on_chip,
+            sym,
         },
         collector,
         faults,
-        sym,
     }
 }
 
@@ -1305,7 +1351,7 @@ pub struct GpuSim {
     scratch_pool: Vec<BlockScratch>,
     /// The launch-wide L2, kept across launches and renewed at the start
     /// of each (built on the first launch, rebuilt when `device`'s L2
-    /// geometry changes).
+    /// geometry changes). Phantom launches leave it alone.
     l2: Option<SectoredCache>,
     /// The sequential engine's on-chip state, renewed for every block.
     on_chip: OnChip,
@@ -1752,7 +1798,13 @@ impl GpuSim {
         mut scratch: Option<&mut SpanScratch>,
     ) -> (KernelStats, u64) {
         let mut stats = KernelStats::default();
-        let l2 = renew(&mut self.l2, l2_geometry(&self.device));
+        let mut l2 = launch_l2(&mut self.l2, &self.device, env);
+        // Phantom launches never reach the L2: their sink is a trace that
+        // stays empty.
+        let mut no_l2 = BlockTrace::new();
+        // One symbolic collector serves every block, merged and cleared
+        // after each.
+        let mut sym = env.phantom.map(|_| SymBlockCollector::for_block());
         let mut simulated = 0u64;
         for linear in resolved.selected(cfg.num_blocks()) {
             simulated += 1;
@@ -1761,14 +1813,16 @@ impl GpuSim {
             let mut faults = env
                 .faults
                 .map(|p| BlockFaults::new(&p, env.launch_seq, linear));
-            let mut sym = env.phantom.map(|_| SymBlockCollector::for_block());
             let (l1, shared) = self.on_chip.renew(&self.device, cfg.shared_words);
             let mut blk = BlockCtx {
                 res: Resources {
                     dev: &self.device,
                     glob: GlobalView::Direct(&mut self.mem),
                     l1,
-                    l2: L2Sink::Inline(&mut *l2),
+                    l2: match l2.as_deref_mut() {
+                        Some(l2) => L2Sink::Inline(l2),
+                        None => L2Sink::Deferred(&mut no_l2),
+                    },
                     stats: &mut stats,
                     shared,
                     analysis: collector.as_mut(),
@@ -1794,23 +1848,21 @@ impl GpuSim {
             if let Some(f) = faults {
                 self.fault_log.merge(f.log());
             }
-            if let Some(s) = sym {
+            if let Some(s) = sym.as_mut() {
                 self.phantom
                     .as_mut()
                     .expect("phantom enabled")
                     .collector
-                    .merge(&s);
+                    .merge(s);
+                s.clear();
             }
             if let Some(s) = scratch.as_deref_mut() {
                 let before = snapshot.expect("snapshot taken when recording");
                 s.push_block(linear, stats.delta_since(&before));
             }
         }
-        let pre_flush = scratch.as_ref().map(|_| stats.clone());
-        flush_l2(l2, &mut stats);
-        if let Some(s) = scratch {
-            s.flush = stats.delta_since(&pre_flush.expect("snapshot taken when recording"));
-        }
+        debug_assert!(no_l2.is_empty(), "a phantom launch reached the L2");
+        end_launch(l2, &mut stats, scratch);
         (stats, simulated)
     }
 
@@ -1833,7 +1885,7 @@ impl GpuSim {
             .max(1);
         let batch_cap = threads * 8;
         let mut stats = KernelStats::default();
-        let l2 = renew(&mut self.l2, l2_geometry(&self.device));
+        let mut l2 = launch_l2(&mut self.l2, &self.device, env);
         let mut simulated = 0u64;
         // Pre-size fresh store buffers for a block's fair share of the
         // allocated footprint (recycled buffers keep their earned size).
@@ -1883,9 +1935,18 @@ impl GpuSim {
                 simulated += 1;
                 let snapshot = scratch.as_ref().map(|_| stats.clone());
                 stats += &outcome.stats;
-                replay_trace(&outcome.scratch.trace, l2, &mut stats);
+                match l2.as_deref_mut() {
+                    Some(l2) => replay_trace(&outcome.scratch.trace, l2, &mut stats),
+                    None => debug_assert!(outcome.scratch.trace.is_empty()),
+                }
                 outcome.scratch.store.apply_and_clear(&mut self.mem);
                 outcome.scratch.trace.clear();
+                // The symbolic collector merges block-linearly too, so
+                // `SymReport`s are identical across launch modes.
+                if let Some(p) = self.phantom.as_mut() {
+                    p.collector.merge(&outcome.scratch.sym);
+                    outcome.scratch.sym.clear();
+                }
                 pool.push(outcome.scratch);
                 if let Some(c) = outcome.collector {
                     self.analysis
@@ -1897,13 +1958,6 @@ impl GpuSim {
                 if let Some(f) = outcome.faults {
                     self.fault_log.merge(f.log());
                 }
-                if let Some(s) = outcome.sym {
-                    self.phantom
-                        .as_mut()
-                        .expect("phantom enabled")
-                        .collector
-                        .merge(&s);
-                }
                 if let Some(s) = scratch.as_deref_mut() {
                     let before = snapshot.expect("snapshot taken when recording");
                     s.push_block(linear, stats.delta_since(&before));
@@ -1911,12 +1965,38 @@ impl GpuSim {
             }
         }
         self.scratch_pool = pool;
-        let pre_flush = scratch.as_ref().map(|_| stats.clone());
-        flush_l2(l2, &mut stats);
-        if let Some(s) = scratch {
-            s.flush = stats.delta_since(&pre_flush.expect("snapshot taken when recording"));
-        }
+        end_launch(l2, &mut stats, scratch);
         (stats, simulated)
+    }
+}
+
+/// The launch-wide L2 kept in `slot`, renewed for a launch on `dev`; none
+/// for a phantom launch, which never reaches it and so neither builds nor
+/// renews it.
+fn launch_l2<'a>(
+    slot: &'a mut Option<SectoredCache>,
+    dev: &DeviceConfig,
+    env: LaunchEnv,
+) -> Option<&'a mut SectoredCache> {
+    match env.phantom {
+        Some(_) => None,
+        None => Some(renew(slot, l2_geometry(dev))),
+    }
+}
+
+/// End a launch: write back the L2's dirty sectors (a launch without an L2
+/// has none), recording the flush's counters in the span scratch.
+fn end_launch(
+    l2: Option<&mut SectoredCache>,
+    stats: &mut KernelStats,
+    scratch: Option<&mut SpanScratch>,
+) {
+    let pre_flush = scratch.as_ref().map(|_| stats.clone());
+    if let Some(l2) = l2 {
+        flush_l2(l2, stats);
+    }
+    if let Some(s) = scratch {
+        s.flush = stats.delta_since(&pre_flush.expect("snapshot taken when recording"));
     }
 }
 
@@ -2344,6 +2424,7 @@ mod phantom_tests {
 
         let mut ph = GpuSim::new(DeviceConfig::test_tiny()).with_phantom(PhantomConfig::default());
         let ph_stats = mixed(&mut ph);
+        assert!(ph.l2.is_none(), "a phantom launch builds no L2");
 
         assert_eq!(txn_subset(&real_stats), txn_subset(&ph_stats));
         // Nothing below the coalescer runs in phantom mode.
@@ -2358,6 +2439,24 @@ mod phantom_tests {
             1,
             "exactly the PrivArray::get_dyn site is top"
         );
+    }
+
+    #[test]
+    fn phantom_launches_build_no_l2_on_either_engine() {
+        for mode in [LaunchMode::Sequential, LaunchMode::Parallel] {
+            let mut sim = GpuSim::new(DeviceConfig::test_tiny())
+                .with_launch_mode(mode)
+                .with_phantom(PhantomConfig::default());
+            mixed(&mut sim);
+            mixed(&mut sim);
+            assert!(sim.l2.is_none(), "{mode:?}");
+            // Disarmed, the next launch builds it as a fresh simulator's
+            // first launch does.
+            sim.set_phantom(None);
+            let real = mixed(&mut sim);
+            assert!(sim.l2.is_some(), "{mode:?}");
+            assert_eq!(real, mixed(&mut GpuSim::new(DeviceConfig::test_tiny())));
+        }
     }
 
     #[test]

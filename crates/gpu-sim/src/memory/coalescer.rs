@@ -105,9 +105,10 @@ pub struct LaneRun {
     pub start: u32,
 }
 
-/// `1 << l` for each lane `l`: lets [`LaneRun::of`] test every lane's mask
-/// bit with one vector compare instead of a per-lane variable shift.
-const LANE_BIT: [u32; WARP] = {
+/// `1 << l` for each lane `l`: lets [`LaneRun::of`] (and the symbolic
+/// fits) test every lane's mask bit with one vector compare instead of a
+/// per-lane variable shift.
+pub(crate) const LANE_BIT: [u32; WARP] = {
     let mut bits = [0; WARP];
     let mut l = 0;
     while l < WARP {

@@ -181,12 +181,7 @@ impl GlobalMem {
         let buf = &self.bufs[id.0];
         match buf.data.get(idx as usize) {
             Some(&v) => v,
-            None => panic!(
-                "device read OOB: buffer {} has {} elems, index {}",
-                id.0,
-                buf.data.len(),
-                idx
-            ),
+            None => read_oob(id, buf.data.len(), idx),
         }
     }
 
@@ -197,10 +192,7 @@ impl GlobalMem {
         let len = buf.data.len();
         match buf.data_mut().get_mut(idx as usize) {
             Some(slot) => *slot = v,
-            None => panic!(
-                "device write OOB: buffer {} has {len} elems, index {}",
-                id.0, idx
-            ),
+            None => write_oob(id, len, idx),
         }
     }
 
@@ -219,10 +211,7 @@ impl GlobalMem {
     pub(crate) fn assert_write_in_bounds(&self, id: BufId, idx: u32) {
         let len = self.bufs[id.0].data.len();
         if idx as usize >= len {
-            panic!(
-                "device write OOB: buffer {} has {len} elems, index {}",
-                id.0, idx
-            );
+            write_oob(id, len, idx);
         }
     }
 
@@ -230,6 +219,28 @@ impl GlobalMem {
     pub(crate) fn buf_data_mut(&mut self, id: BufId) -> &mut [f32] {
         self.bufs[id.0].data_mut()
     }
+}
+
+/// The out-of-bounds panic of a device read of element `idx` of buffer
+/// `id`, which holds `len` elements. Cold and out of line, so the bounds
+/// checks that lead here stay small enough to inline.
+#[cold]
+#[inline(never)]
+pub(crate) fn read_oob(id: BufId, len: usize, idx: u32) -> ! {
+    panic!(
+        "device read OOB: buffer {} has {len} elems, index {idx}",
+        id.0
+    )
+}
+
+/// The out-of-bounds panic of a device write, like [`read_oob`].
+#[cold]
+#[inline(never)]
+pub(crate) fn write_oob(id: BufId, len: usize, idx: u32) -> ! {
+    panic!(
+        "device write OOB: buffer {} has {len} elems, index {idx}",
+        id.0
+    )
 }
 
 #[cfg(test)]

@@ -152,17 +152,33 @@ pub fn warp_access_span(
     is_store: bool,
     faults: Option<&mut BlockFaults>,
 ) -> u64 {
+    let txns = phantom_access_span(dev, stats, first, bytes, is_store);
+    let (line_shift, sector_shift) = l1.shifts();
+    debug_assert_eq!(sector_shift, dev.sector_bytes.trailing_zeros());
+    let lines = span_lines(first, first + bytes - 1, line_shift, sector_shift);
+    route_lines(l1, sink, stats, lines, is_store, faults);
+    txns
+}
+
+/// The pure prefix of [`warp_access_span`], as [`phantom_access`] is of
+/// [`warp_access`]: count the lane run's request and its transactions —
+/// every sector from the span's first byte to its last — without touching
+/// the L1 or emitting anything toward L2/DRAM. Phantom execution's span
+/// path. `bytes` is 1 to 128.
+pub fn phantom_access_span(
+    dev: &DeviceConfig,
+    stats: &mut KernelStats,
+    first: u64,
+    bytes: u64,
+    is_store: bool,
+) -> u64 {
     assert!(
         (1..=4 * WARP as u64).contains(&bytes),
         "a warp span of {bytes} B is not 1 to 128 B"
     );
-    let last = first + bytes - 1;
-    let (line_shift, sector_shift) = l1.shifts();
-    debug_assert_eq!(sector_shift, dev.sector_bytes.trailing_zeros());
-    let txns = (last >> sector_shift) - (first >> sector_shift) + 1;
+    let shift = dev.sector_bytes.trailing_zeros();
+    let txns = ((first + bytes - 1) >> shift) - (first >> shift) + 1;
     count_request(stats, Space::Global, is_store, txns);
-    let lines = span_lines(first, last, line_shift, sector_shift);
-    route_lines(l1, sink, stats, lines, is_store, faults);
     txns
 }
 

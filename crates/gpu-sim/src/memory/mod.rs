@@ -10,5 +10,5 @@ pub mod shared;
 pub use cache::{Access, CachePolicy, SectoredCache};
 pub use coalescer::{coalesce, coalesce_into, CoalesceResult, LaneRun, SectorBuf};
 pub use global::{BufId, GlobalMem};
-pub use hierarchy::{phantom_access, Space};
+pub use hierarchy::{phantom_access, phantom_access_span, Space};
 pub use shared::SharedMem;

@@ -9,13 +9,17 @@
 //! ordinary launch machinery — same block selection, same sampling, same
 //! extrapolation, both launch engines — but never reads or writes tensor
 //! data. Loads return a configurable canary value, stores are dropped
-//! after bounds checking, and every warp access is routed through
-//! [`crate::memory::phantom_access`], the pure coalescing prefix of the
-//! real datapath. Because the coalescer and the shared-memory bank model
-//! are pure functions of addresses, the request/transaction counters of a
-//! phantom run are **bit-identical** to a real run whenever addressing is
-//! data-independent — which is the structural-determinism property the
-//! hazard analyzer already relies on ([`crate::analysis`]).
+//! after bounds checking, and every warp access is counted by the pure
+//! prefix of the real datapath: a global lane run (contiguous lanes over
+//! consecutive elements) by [`crate::memory::phantom_access_span`], its
+//! sectors from the span's two ends, any other access by
+//! [`crate::memory::phantom_access`], the coalescer. Because the
+//! coalescer and the shared-memory bank model are pure functions of
+//! addresses, the request/transaction counters of a phantom run are
+//! **bit-identical** to a real run whenever addressing is data-independent
+//! — which is the structural-determinism property the hazard analyzer
+//! already relies on ([`crate::analysis`]). Nothing below the coalescer
+//! runs: a phantom launch never builds or probes the L2.
 //!
 //! ## The affine abstract domain
 //!
@@ -45,6 +49,14 @@
 //! `{base + stride·l | l active}` for global/local sites, the
 //! max-words-per-bank pass count for scalar shared sites — and validated
 //! against the simulator's measured transactions for the same request.
+//!
+//! Recording is O(1) per request: a hashed index finds the site's slot,
+//! the fit needs no 128-bit division (and a lane run, whose form is known,
+//! none at all: [`SymBlockCollector::record_affine`]), and the closed
+//! forms are cached per site, keyed by what they depend on — base modulo
+//! the sector size, stride and mask for sectors; stride and mask alone for
+//! passes — which translation does not change. The cached count is still
+//! compared with the measured one on every request.
 //! The [`SymSiteRecord::mismatches`] counter therefore doubles as a proof
 //! obligation: it is zero exactly when the closed form and the hardware
 //! model agree, which the `predict` CI gate enforces over the full
@@ -61,10 +73,15 @@
 //! differential phantom execution: [`SymSiteRecord::stream_hash`] digests
 //! each site's ordered address stream, and running the kernel under two
 //! different canaries must reproduce every hash bit-for-bit — if any
-//! address depended on a loaded value, the canary change perturbs it.
+//! address depended on a loaded value, the canary change perturbs it. Each
+//! request folds its mask, base and stride when affine and its active-lane
+//! values otherwise, so a request's digest depends on its lane values
+//! alone, not on which path recorded it. Digests are compared within one
+//! build and never persisted.
 
 use crate::analysis::{AccessClass, SiteId};
-use crate::lane::{LaneMask, WARP};
+use crate::lane::{LaneMask, VU, WARP};
+use crate::memory::coalescer::LANE_BIT;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -153,8 +170,8 @@ pub enum PredictModel {
 /// Result of fitting one request's active-lane values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fit {
-    /// ≤ 1 active lane: consistent with any stride (does not constrain the
-    /// site form).
+    /// One active lane: consistent with any stride (does not constrain the
+    /// site form); `base` is that lane's value.
     Any { base: i128 },
     /// Exact affine fit over ≥ 2 active lanes.
     Affine { base: i128, stride: i64 },
@@ -162,91 +179,226 @@ enum Fit {
     Irregular,
 }
 
-/// Fit `v(lane) = base + stride·lane` over the active lanes.
-fn fit_affine(vals: &[u64; WARP], mask: LaneMask) -> Fit {
-    let mut lanes = mask.lanes();
-    let Some(l0) = lanes.next() else {
-        return Fit::Irregular; // callers skip empty masks
-    };
-    let v0 = vals[l0] as i128;
-    let Some(l1) = lanes.next() else {
-        // Single point: report its value as the base.
-        return Fit::Any { base: v0 };
-    };
-    let dv = vals[l1] as i128 - v0;
-    let dl = (l1 - l0) as i128;
-    if dv % dl != 0 {
-        return Fit::Irregular;
+impl Fit {
+    /// The fit of the request whose active lanes hold `base + stride·l`:
+    /// what [`fit_affine`] returns for those values.
+    fn of_form(base: i128, stride: i64, mask: LaneMask) -> Fit {
+        let m = mask.0;
+        if m & m.wrapping_sub(1) == 0 {
+            let l0 = m.trailing_zeros() as i128;
+            return Fit::Any {
+                base: base + stride as i128 * l0,
+            };
+        }
+        Fit::Affine { base, stride }
     }
-    let stride = dv / dl;
-    if stride > i64::MAX as i128 || stride < i64::MIN as i128 {
-        return Fit::Irregular;
-    }
-    let base = v0 - stride * l0 as i128;
-    for l in mask.lanes() {
-        if vals[l] as i128 != base + stride * l as i128 {
-            return Fit::Irregular;
+
+    /// The coefficients the closed forms are evaluated at: one lane is the
+    /// stride-0 form through its value.
+    fn coeffs(self) -> Option<(i128, i64)> {
+        match self {
+            Fit::Any { base } => Some((base, 0)),
+            Fit::Affine { base, stride } => Some((base, stride)),
+            Fit::Irregular => None,
         }
     }
-    Fit::Affine {
-        base,
-        stride: stride as i64,
+}
+
+/// The line a fit checks the lanes against: through the first two active
+/// lanes of `mask` (`v(l)` gives lane values), with an integer stride, and
+/// inside `0..=max` up to the last active lane. `Ok((l0, v0, stride))` for
+/// it; `Err` with the fit itself when one lane settles it or no such line
+/// exists. At most one 64-bit division: the two lanes' difference fits a
+/// `u64`.
+fn line_through(
+    v: impl Fn(usize) -> u64,
+    mask: LaneMask,
+    max: u64,
+) -> Result<(usize, u64, i64), Fit> {
+    let m = mask.0;
+    if m == 0 {
+        return Err(Fit::Irregular); // callers skip empty masks
     }
+    let l0 = m.trailing_zeros() as usize;
+    let v0 = v(l0);
+    let rest = m & (m - 1);
+    if rest == 0 {
+        // Single point: report its value as the base.
+        return Err(Fit::Any { base: v0 as i128 });
+    }
+    let l1 = rest.trailing_zeros() as usize;
+    let v1 = v(l1);
+    let dl = (l1 - l0) as u64;
+    let (mag, neg) = if v1 >= v0 {
+        (v1 - v0, false)
+    } else {
+        (v0 - v1, true)
+    };
+    // Neighbouring first lanes, the common case, need no division. A
+    // stride that is not whole truncates here, and lane l1 then misses the
+    // line in the fit's pass.
+    let q = if dl == 1 { mag } else { mag / dl };
+    let stride = match (neg, i64::try_from(q)) {
+        (false, Ok(s)) => s,
+        (true, Ok(s)) => -s,
+        (true, Err(_)) if q == 1 << 63 => i64::MIN,
+        _ => return Err(Fit::Irregular),
+    };
+    // The line is monotone and passes through v0, so it stays in range over
+    // the active lanes iff it does at the last one; there, lane values equal
+    // it exactly iff they do modulo the lane type's range.
+    let top = (31 - m.leading_zeros()) as usize;
+    let end = v0 as i128 + stride as i128 * (top - l0) as i128;
+    if !(0..=max as i128).contains(&end) {
+        return Err(Fit::Irregular);
+    }
+    Ok((l0, v0, stride))
+}
+
+/// The affine fit once every active lane is on the line (`on_line`).
+fn line_fit(on_line: bool, l0: usize, v0: u64, stride: i64) -> Fit {
+    if !on_line {
+        return Fit::Irregular;
+    }
+    Fit::Affine {
+        base: v0 as i128 - stride as i128 * l0 as i128,
+        stride,
+    }
+}
+
+/// Fit `v(lane) = base + stride·lane` over the active lanes, exactly: the
+/// line through the first two, then one branch-free pass over the warp in
+/// wrapping 64-bit arithmetic.
+fn fit_affine(vals: &[u64; WARP], mask: LaneMask) -> Fit {
+    let (l0, v0, stride) = match line_through(|l| vals[l], mask, u64::MAX) {
+        Ok(line) => line,
+        Err(fit) => return fit,
+    };
+    let step = stride as u64;
+    let mut want = v0.wrapping_sub(step.wrapping_mul(l0 as u64));
+    let mut off = 0u64;
+    for (l, &v) in vals.iter().enumerate() {
+        let active = if mask.0 & LANE_BIT[l] != 0 {
+            u64::MAX
+        } else {
+            0
+        };
+        off |= (v ^ want) & active;
+        want = want.wrapping_add(step);
+    }
+    line_fit(off == 0, l0, v0, stride)
+}
+
+/// [`fit_affine`] of 32-bit lane values (shared-memory word indices), its
+/// pass over the warp in 32-bit lanes.
+fn fit_words(words: &VU, mask: LaneMask) -> Fit {
+    let lane = |l: usize| u64::from(words.0[l]);
+    let (l0, v0, stride) = match line_through(lane, mask, u64::from(u32::MAX)) {
+        Ok(line) => line,
+        Err(fit) => return fit,
+    };
+    let step = stride as u32;
+    let mut want = (v0 as u32).wrapping_sub(step.wrapping_mul(l0 as u32));
+    let mut off = 0u32;
+    for (l, &v) in words.0.iter().enumerate() {
+        let active = if mask.0 & LANE_BIT[l] != 0 {
+            u32::MAX
+        } else {
+            0
+        };
+        off |= (v ^ want) & active;
+        want = want.wrapping_add(step);
+    }
+    line_fit(off == 0, l0, v0, stride)
 }
 
 /// Closed-form transaction count from affine coefficients: the number of
 /// distinct sectors the 4-byte accesses `{base + stride·l | l ∈ mask}`
 /// touch, mirroring [`crate::memory::coalesce`] exactly (including
-/// sector-straddling accesses).
+/// sector-straddling accesses), for a power-of-two `sector_bytes`. The
+/// addresses are monotone in the lane, so taken from the lowest up each
+/// access adds the sectors it reaches above the highest one counted so
+/// far; when the lanes are contiguous and the stride at most 4 B either
+/// way (a lane run, say), the accesses cover one byte span and so every
+/// sector from its first byte to its last. Moving `base` by a multiple of
+/// `sector_bytes` moves every sector alike, so the count depends on `base`
+/// only modulo that.
 fn sectors_from_form(base: i128, stride: i64, mask: LaneMask, sector_bytes: u64) -> u64 {
-    let sb = sector_bytes as i128;
-    let mut sectors: Vec<i128> = Vec::with_capacity(8);
-    for l in mask.lanes() {
+    debug_assert!(sector_bytes.is_power_of_two());
+    let (align, shift) = (!(sector_bytes as i128 - 1), sector_bytes.trailing_zeros());
+    let m = mask.0;
+    let (lo, hi) = (m.trailing_zeros(), 31u32.wrapping_sub(m.leading_zeros()));
+    if m != 0 && m >> lo == u32::MAX >> (31 - (hi - lo)) && (-4..=4).contains(&stride) {
+        let (a, b) = (
+            base + (stride * lo as i64) as i128,
+            base + (stride * hi as i64) as i128,
+        );
+        let (first, last) = (a.min(b), a.max(b) + 3);
+        return (((last & align) - (first & align)) >> shift) as u64 + 1;
+    }
+    let mut count = 0;
+    let mut top: Option<i128> = None;
+    for j in 0..WARP {
+        let l = if stride < 0 { WARP - 1 - j } else { j };
+        if !mask.get(l) {
+            continue;
+        }
         let a = base + stride as i128 * l as i128;
-        let first = a & !(sb - 1);
-        let last = (a + 3) & !(sb - 1);
-        let mut s = first;
-        loop {
-            if !sectors.contains(&s) {
-                sectors.push(s);
-            }
-            if s == last {
-                break;
-            }
-            s += sb;
+        let (first, last) = (a & align, (a + 3) & align);
+        let from = match top {
+            Some(t) if t >= first => t + sector_bytes as i128,
+            _ => first,
+        };
+        if from <= last {
+            count += ((last - from) >> shift) as u64 + 1;
+            top = Some(last);
         }
     }
-    sectors.len() as u64
+    count
 }
+
+/// Lanes `0, p, 2p, …` of a warp, for each `p` in `1..32`.
+const LANE_CLASS: [u32; WARP] = {
+    let mut class = [0u32; WARP];
+    let mut p = 1;
+    while p < WARP {
+        let mut l = 0;
+        while l < WARP {
+            class[p] |= 1 << l;
+            l += p;
+        }
+        p += 1;
+    }
+    class
+};
 
 /// Closed-form pass count from affine coefficients: max distinct words per
 /// bank over `{base + stride·l | l ∈ mask}`, mirroring
-/// [`crate::memory::SharedMem::passes`] exactly for any bank count. Sorted
-/// `(bank, word)` keys on the stack put each bank's words side by side;
-/// the count is the longest same-bank run of distinct words. At least 1.
-fn passes_from_form(base: i128, stride: i64, mask: LaneMask, banks: u32) -> u64 {
-    let mut keys = [(0i128, 0i128); WARP];
-    let mut n = 0;
-    for l in mask.lanes() {
-        let w = base + stride as i128 * l as i128;
-        keys[n] = (w.rem_euclid(banks as i128), w);
-        n += 1;
+/// [`crate::memory::SharedMem::passes`] exactly for any bank count. A zero
+/// stride is one word (one pass). Any other stride gives every lane its
+/// own word, and lanes `l`, `l'` share a bank exactly when
+/// `stride·(l − l')` is a multiple of `banks`, that is when `l − l'` is a
+/// multiple of `p = banks / gcd(stride, banks)`: the count is the most
+/// active lanes in one class of lanes mod `p`, whatever `base` is. At
+/// least 1.
+fn passes_from_form(stride: i64, mask: LaneMask, banks: u32) -> u64 {
+    if stride == 0 {
+        return 1;
     }
-    let keys = &mut keys[..n];
-    keys.sort_unstable();
-    let (mut run, mut most) = (1, 1);
-    for pair in keys.windows(2) {
-        if pair[1] == pair[0] {
-            continue;
-        }
-        if pair[1].0 == pair[0].0 {
-            run += 1;
-            most = most.max(run);
-        } else {
-            run = 1;
-        }
+    let b = u64::from(banks);
+    let (mut x, mut y) = (stride.rem_euclid(b as i64) as u64, b);
+    while x != 0 {
+        (x, y) = (y % x, x);
     }
-    most
+    let p = (b / y) as usize;
+    if p >= WARP {
+        return 1;
+    }
+    (0..p)
+        .map(|c| u64::from((mask.0 & LANE_CLASS[p] << c).count_ones()))
+        .max()
+        .unwrap_or(0)
+        .max(1)
 }
 
 /// Splitmix64 finalizer — the digest step of the stream hashes.
@@ -259,6 +411,35 @@ fn mix64(mut z: u64) -> u64 {
 
 fn hash_combine(h: u64, v: u64) -> u64 {
     mix64(h ^ mix64(v))
+}
+
+/// Tags the first word a request folds into a stream digest: an affine
+/// request's, or a lane-by-lane one's.
+const AFFINE_DIGEST: u64 = 1 << 32;
+const LANES_DIGEST: u64 = 2 << 32;
+
+/// Fold an affine request into a stream digest: its mask, base and stride,
+/// which fix every active lane's value (a one-lane request is the stride-0
+/// form through its value). Each word is spread by its own odd multiplier
+/// — a bijection, so changing one word alone always changes the request's
+/// word — before one finalizer folds the request into the stream.
+fn digest_form(h: u64, mask: LaneMask, base: i128, stride: i64) -> u64 {
+    let req = (AFFINE_DIGEST | u64::from(mask.0)).wrapping_mul(0xA076_1D64_78BD_642F)
+        ^ (base as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB)
+        ^ (stride as u64)
+            .wrapping_mul(0x8EBC_6AF0_9C88_C6E3)
+            .rotate_left(32);
+    mix64(h ^ req)
+}
+
+/// Fold an irregular request into a stream digest: its mask, then each
+/// active lane's value in lane order.
+fn digest_lanes(h: u64, mask: LaneMask, vals: &[u64; WARP]) -> u64 {
+    let mut h = hash_combine(h, LANES_DIGEST | u64::from(mask.0));
+    for l in mask.lanes() {
+        h = hash_combine(h, vals[l]);
+    }
+    h
 }
 
 /// Aggregate symbolic state for one `(site, access class)` pair.
@@ -286,10 +467,13 @@ pub struct SymSiteAgg {
     /// Requests routed through a dynamically indexed accessor — the
     /// structural data-dependence witness.
     pub dynamic_requests: u64,
-    /// Order-dependent digest of the site's address stream (mask bits and
-    /// active-lane values per request, merged block-linearly). Equal
-    /// hashes across two phantom runs with different canaries certify the
-    /// stream is data-independent.
+    /// Order-dependent digest of the site's address stream, merged
+    /// block-linearly. Each request folds its mask, base and stride when
+    /// affine and its active-lane values otherwise, so the digest is a
+    /// function of the lane values alone. Equal hashes across two phantom
+    /// runs with different canaries certify the stream is
+    /// data-independent; digests are compared within one build and never
+    /// persisted.
     pub stream_hash: u64,
 }
 
@@ -311,22 +495,234 @@ impl SymSiteAgg {
     }
 }
 
+/// Entries of a site's closed-form cache.
+const FORM_CACHE: usize = 16;
+
+/// One cached closed-form count: the key it depends on — mask, stride and
+/// base modulo the sector size (the pass count does not depend on the base
+/// at all: its residue is 0) — and the count. A zero mask is empty (empty
+/// requests are never recorded).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct FormEntry {
+    mask: u32,
+    residue: u64,
+    stride: i64,
+    count: u64,
+}
+
+/// A site's closed-form counts, direct-mapped by key, for one prediction
+/// model. The closed forms are invariant under translation by a whole
+/// number of sectors (the pass count under any translation), so the
+/// requests of a loop — the same mask and stride at bases a whole number
+/// of sectors apart — pay for one evaluation.
+#[derive(Debug, Clone, Copy)]
+struct FormCache {
+    model: PredictModel,
+    entries: [FormEntry; FORM_CACHE],
+}
+
+impl FormCache {
+    fn new(model: PredictModel) -> Self {
+        FormCache {
+            model,
+            entries: [FormEntry::default(); FORM_CACHE],
+        }
+    }
+
+    /// The closed-form count of the affine request `base + stride·l` over
+    /// `mask` under `model`, or `None` for [`PredictModel::Measured`].
+    fn count(
+        &mut self,
+        model: PredictModel,
+        base: i128,
+        stride: i64,
+        mask: LaneMask,
+    ) -> Option<u64> {
+        let residue = match model {
+            PredictModel::Sectors { sector_bytes } => base as u64 & (sector_bytes - 1),
+            PredictModel::Banks { .. } => 0,
+            PredictModel::Measured => return None,
+        };
+        if self.model != model {
+            *self = FormCache::new(model);
+        }
+        let key = FormEntry {
+            mask: mask.0,
+            residue,
+            stride,
+            count: 0,
+        };
+        let h = (key.residue ^ (key.stride as u64).rotate_left(17) ^ u64::from(key.mask) << 5)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let e = &mut self.entries[(h >> 60) as usize];
+        if (e.mask, e.residue, e.stride) != (key.mask, key.residue, key.stride) {
+            let count = match model {
+                PredictModel::Sectors { sector_bytes } => {
+                    sectors_from_form(base, stride, mask, sector_bytes)
+                }
+                PredictModel::Banks { banks } => passes_from_form(stride, mask, banks),
+                PredictModel::Measured => unreachable!("no closed form is cached for it"),
+            };
+            *e = FormEntry { count, ..key };
+        }
+        Some(e.count)
+    }
+}
+
+/// One `(site, class)`'s aggregate and closed-form cache.
+#[derive(Debug, Clone)]
+struct SiteSlot {
+    site: SiteId,
+    class: AccessClass,
+    agg: SymSiteAgg,
+    forms: FormCache,
+}
+
+impl SiteSlot {
+    fn new(site: SiteId, class: AccessClass) -> Self {
+        SiteSlot {
+            site,
+            class,
+            agg: SymSiteAgg::default(),
+            forms: FormCache::new(PredictModel::Measured),
+        }
+    }
+
+    /// `true` for the slot of `(site, class)`: the derived equality, with
+    /// the common case — the same `&'static str` file — decided without
+    /// comparing the path.
+    #[inline]
+    fn is(&self, site: &SiteId, class: AccessClass) -> bool {
+        self.class == class
+            && self.site.line == site.line
+            && self.site.column == site.column
+            && (std::ptr::eq(self.site.file, site.file) || self.site.file == site.file)
+    }
+
+    /// Fold one non-empty request, fitted as `fit`, into the aggregate:
+    /// counters, the site form, and the closed-form prediction checked
+    /// against `measured`. The stream digest is folded by the caller.
+    fn observe(
+        &mut self,
+        fit: Fit,
+        mask: LaneMask,
+        measured: u64,
+        model: PredictModel,
+        dynamic: bool,
+    ) {
+        let agg = &mut self.agg;
+        agg.requests += 1;
+        agg.active_lanes += u64::from(mask.count());
+        agg.transactions += measured;
+        agg.max_degree = agg.max_degree.max(measured);
+        if dynamic {
+            agg.dynamic_requests += 1;
+        }
+
+        let req_form = if dynamic {
+            Some(SiteForm::DataDependent)
+        } else {
+            match fit {
+                Fit::Any { .. } => None, // unconstrained: no form update
+                Fit::Affine { stride, .. } => Some(SiteForm::Affine { stride }),
+                Fit::Irregular => Some(SiteForm::Irregular),
+            }
+        };
+        if let Some(rf) = req_form {
+            agg.form = Some(match agg.form {
+                Some(f) => f.join(rf),
+                None => rf,
+            });
+        }
+
+        // Closed-form prediction from the fitted coefficients, checked on
+        // every request. Dynamic sites are top: no prediction is attempted
+        // even when one request happens to fit.
+        if dynamic {
+            return;
+        }
+        let Some((base, stride)) = fit.coeffs() else {
+            return;
+        };
+        if let Some(p) = self.forms.count(model, base, stride, mask) {
+            agg.predicted += p;
+            agg.predicted_requests += 1;
+            if p != measured {
+                agg.mismatches += 1;
+            }
+        }
+    }
+}
+
+/// Buckets of a collector's slot index.
+const SLOT_BUCKETS: usize = 64;
+
 /// Per-block (then launch-wide, via block-linear merge) collector of
 /// symbolic site state. Mirrors the analyzer's collector shape so both
 /// launch engines aggregate identically.
-#[derive(Debug, Clone, Default)]
+///
+/// Recording is O(1) per request and allocates only when a site is first
+/// seen: a request finds its site's slot through a linearly probed hash
+/// index of `(site, class)`, and the closed forms come from the slot's
+/// cache.
+#[derive(Debug, Clone)]
 pub struct SymBlockCollector {
-    sites: BTreeMap<(SiteId, AccessClass), SymSiteAgg>,
+    /// One slot per `(site, class)`, in first-seen order; reports sort them.
+    slots: Vec<SiteSlot>,
+    /// Slot index + 1 per hash bucket of `(site, class)`, 0 when empty
+    /// (linear probing, never more than half full).
+    index: [u32; SLOT_BUCKETS],
     blocks: u64,
+}
+
+impl Default for SymBlockCollector {
+    fn default() -> Self {
+        SymBlockCollector {
+            slots: Vec::new(),
+            index: [0; SLOT_BUCKETS],
+            blocks: 0,
+        }
+    }
 }
 
 impl SymBlockCollector {
     /// Fresh collector for one block.
     pub fn for_block() -> Self {
         SymBlockCollector {
-            sites: BTreeMap::new(),
             blocks: 1,
+            ..SymBlockCollector::default()
         }
+    }
+
+    /// The slot of `(site, class)`, created empty on first sight. The
+    /// index is probed linearly from the key's bucket to the first empty
+    /// one; it indexes at most half as many sites as it has buckets, so an
+    /// empty bucket always ends the probe, and a site beyond that is found
+    /// by a scan of the slots.
+    #[inline(always)]
+    fn slot(&mut self, site: SiteId, class: AccessClass) -> &mut SiteSlot {
+        let h = (site.line.wrapping_mul(0x9E37_79B9) ^ site.column.wrapping_mul(0x85EB_CA6B))
+            .wrapping_add(class as u32)
+            .wrapping_mul(0x2545_F491);
+        let mut bucket = (h >> 26) as usize;
+        loop {
+            match self.index[bucket] as usize {
+                0 => break,
+                i if self.slots[i - 1].is(&site, class) => return &mut self.slots[i - 1],
+                _ => bucket = (bucket + 1) % SLOT_BUCKETS,
+            }
+        }
+        let i = match self.slots.iter().position(|s| s.is(&site, class)) {
+            Some(i) => i,
+            None => {
+                self.slots.push(SiteSlot::new(site, class));
+                self.slots.len() - 1
+            }
+        };
+        if i < SLOT_BUCKETS / 2 {
+            self.index[bucket] = i as u32 + 1;
+        }
+        &mut self.slots[i]
     }
 
     /// Record one warp-level request at `site`: fit the active-lane values
@@ -347,102 +743,119 @@ impl SymBlockCollector {
         if mask.is_empty() {
             return;
         }
-        let agg = self.sites.entry((site, class)).or_default();
-        agg.requests += 1;
-        agg.active_lanes += u64::from(mask.count());
-        agg.transactions += measured;
-        agg.max_degree = agg.max_degree.max(measured);
-        if dynamic {
-            agg.dynamic_requests += 1;
-        }
-
         let fit = fit_affine(vals, mask);
-        let req_form = if dynamic {
-            Some(SiteForm::DataDependent)
-        } else {
-            match fit {
-                Fit::Any { .. } => None, // unconstrained: no form update
-                Fit::Affine { stride, .. } => Some(SiteForm::Affine { stride }),
-                Fit::Irregular => Some(SiteForm::Irregular),
-            }
+        let slot = self.slot(site, class);
+        slot.observe(fit, mask, measured, model, dynamic);
+        let h = slot.agg.stream_hash;
+        slot.agg.stream_hash = match fit.coeffs() {
+            Some((base, stride)) => digest_form(h, mask, base, stride),
+            None => digest_lanes(h, mask, vals),
         };
-        if let Some(rf) = req_form {
-            agg.form = Some(match agg.form {
-                Some(f) => f.join(rf),
-                None => rf,
-            });
-        }
+    }
 
-        // Closed-form prediction from the fitted coefficients. Dynamic
-        // sites are top: no prediction is attempted even when one request
-        // happens to fit.
-        if !dynamic {
-            let coeffs = match fit {
-                Fit::Any { base } => Some((base, 0i64)),
-                Fit::Affine { base, stride } => Some((base, stride)),
-                Fit::Irregular => None,
-            };
-            if let Some((base, stride)) = coeffs {
-                let predicted = match model {
-                    PredictModel::Sectors { sector_bytes } => {
-                        Some(sectors_from_form(base, stride, mask, sector_bytes))
-                    }
-                    PredictModel::Banks { banks } => {
-                        Some(passes_from_form(base, stride, mask, banks))
-                    }
-                    PredictModel::Measured => None,
-                };
-                if let Some(p) = predicted {
-                    agg.predicted += p;
-                    agg.predicted_requests += 1;
-                    if p != measured {
-                        agg.mismatches += 1;
-                    }
-                }
-            }
+    /// [`SymBlockCollector::record`] of shared-memory word indices — the
+    /// same aggregate, prediction and digest as recording them widened to
+    /// `u64` — with the fit in 32-bit lanes.
+    pub fn record_words(
+        &mut self,
+        site: SiteId,
+        class: AccessClass,
+        words: &VU,
+        mask: LaneMask,
+        measured: u64,
+        model: PredictModel,
+    ) {
+        if mask.is_empty() {
+            return;
         }
+        let fit = fit_words(words, mask);
+        let slot = self.slot(site, class);
+        slot.observe(fit, mask, measured, model, false);
+        let h = slot.agg.stream_hash;
+        slot.agg.stream_hash = match fit.coeffs() {
+            Some((base, stride)) => digest_form(h, mask, base, stride),
+            None => digest_lanes(h, mask, &words.0.map(u64::from)),
+        };
+    }
 
-        // Stream digest: mask bits then each active lane's value, in lane
-        // order — deterministic within a block, merged block-linearly.
-        let mut h = hash_combine(agg.stream_hash, mask.0 as u64);
-        for l in mask.lanes() {
-            h = hash_combine(h, vals[l]);
+    /// [`SymBlockCollector::record`] for a request whose active lanes are
+    /// known to hold `base + stride·lane` — a lane run's addresses, say —
+    /// without looking at the lanes: the same aggregate, prediction and
+    /// digest as recording those values, in O(1).
+    #[allow(clippy::too_many_arguments)] // mirrors `record`
+    pub fn record_affine(
+        &mut self,
+        site: SiteId,
+        class: AccessClass,
+        base: i128,
+        stride: i64,
+        mask: LaneMask,
+        measured: u64,
+        model: PredictModel,
+    ) {
+        if mask.is_empty() {
+            return;
         }
-        agg.stream_hash = h;
+        let fit = Fit::of_form(base, stride, mask);
+        let slot = self.slot(site, class);
+        slot.observe(fit, mask, measured, model, false);
+        let (base, stride) = fit.coeffs().expect("affine");
+        slot.agg.stream_hash = digest_form(slot.agg.stream_hash, mask, base, stride);
     }
 
     /// Merge another block's collector in block-linear order.
     pub fn merge(&mut self, other: &SymBlockCollector) {
-        for (key, agg) in &other.sites {
-            self.sites.entry(*key).or_default().absorb(agg);
+        for s in other.observed() {
+            self.slot(s.site, s.class).agg.absorb(&s.agg);
         }
         self.blocks += other.blocks;
     }
 
+    /// Empty the aggregates for the next block, keeping the sites and their
+    /// closed-form caches: a collector reused block after block (merged
+    /// into the launch's after each) skips the per-block slot allocations
+    /// and starts with warm caches.
+    pub fn clear(&mut self) {
+        for s in &mut self.slots {
+            s.agg = SymSiteAgg::default();
+        }
+    }
+
+    /// The slots with requests since the last [`SymBlockCollector::clear`].
+    fn observed(&self) -> impl Iterator<Item = &SiteSlot> {
+        self.slots.iter().filter(|s| s.agg.requests > 0)
+    }
+
     /// Number of distinct instrumented sites observed.
     pub fn site_count(&self) -> usize {
-        self.sites.len()
+        self.observed().count()
     }
 
     /// Freeze into a report.
-    pub fn into_report(self) -> SymReport {
+    pub fn into_report(mut self) -> SymReport {
+        self.slots.retain(|s| s.agg.requests > 0);
+        self.slots.sort_unstable_by_key(|s| (s.site, s.class));
         let sites = self
-            .sites
+            .slots
             .into_iter()
-            .map(|((site, class), agg)| SymSiteRecord {
-                site,
-                class,
-                requests: agg.requests,
-                active_lanes: agg.active_lanes,
-                transactions: agg.transactions,
-                predicted: agg.predicted,
-                predicted_requests: agg.predicted_requests,
-                mismatches: agg.mismatches,
-                max_degree: agg.max_degree,
-                form: agg.form.unwrap_or(SiteForm::Affine { stride: 0 }),
-                data_dependent: agg.dynamic_requests > 0,
-                stream_hash: agg.stream_hash,
-            })
+            .map(
+                |SiteSlot {
+                     site, class, agg, ..
+                 }| SymSiteRecord {
+                    site,
+                    class,
+                    requests: agg.requests,
+                    active_lanes: agg.active_lanes,
+                    transactions: agg.transactions,
+                    predicted: agg.predicted,
+                    predicted_requests: agg.predicted_requests,
+                    mismatches: agg.mismatches,
+                    max_degree: agg.max_degree,
+                    form: agg.form.unwrap_or(SiteForm::Affine { stride: 0 }),
+                    data_dependent: agg.dynamic_requests > 0,
+                    stream_hash: agg.stream_hash,
+                },
+            )
             .collect();
         SymReport {
             sites,
@@ -668,12 +1081,336 @@ mod tests {
             for (base, stride, mask) in cases {
                 let idx = crate::lane::VU::from_fn(|l| (base as i64 + stride * l as i64) as u32);
                 let measured = smem.passes(&idx, mask).max(1);
-                let predicted = passes_from_form(base as i128, stride, mask, banks);
+                let predicted = passes_from_form(stride, mask, banks);
                 assert_eq!(
                     predicted, measured,
                     "banks {banks} base {base} stride {stride} mask {mask:?}"
                 );
             }
+        }
+    }
+
+    /// The fit as it was computed in 128-bit arithmetic, kept as the
+    /// oracle of [`fit_affine`] and [`fit_words`].
+    fn wide_fit(vals: &[u64; WARP], mask: LaneMask) -> Fit {
+        let mut lanes = mask.lanes();
+        let Some(l0) = lanes.next() else {
+            return Fit::Irregular;
+        };
+        let v0 = vals[l0] as i128;
+        let Some(l1) = lanes.next() else {
+            return Fit::Any { base: v0 };
+        };
+        let (dv, dl) = (vals[l1] as i128 - v0, (l1 - l0) as i128);
+        if dv % dl != 0 {
+            return Fit::Irregular;
+        }
+        let stride = dv / dl;
+        if stride > i64::MAX as i128 || stride < i64::MIN as i128 {
+            return Fit::Irregular;
+        }
+        let base = v0 - stride * l0 as i128;
+        if mask
+            .lanes()
+            .any(|l| vals[l] as i128 != base + stride * l as i128)
+        {
+            return Fit::Irregular;
+        }
+        Fit::Affine {
+            base,
+            stride: stride as i64,
+        }
+    }
+
+    /// Random requests: affine lines (some wrapping out of range, some
+    /// with one lane knocked off) and raw lanes, under random masks.
+    fn random_requests(seed: u64, n: usize) -> Vec<([u64; WARP], LaneMask)> {
+        let mut rng = seed;
+        let mut next = move || {
+            rng = mix64(rng);
+            rng
+        };
+        (0..n)
+            .map(|_| {
+                let r = next();
+                let mask = LaneMask(match r % 4 {
+                    0 => u32::MAX,
+                    1 => (u32::MAX >> ((r >> 8) % 32)) << ((r >> 16) % 32),
+                    _ => next() as u32,
+                });
+                let base = match (r >> 24) % 4 {
+                    0 => next(),
+                    1 => u64::MAX - next() % 4096,
+                    2 => next() % 4096,
+                    _ => next() >> 20,
+                };
+                let stride = match (r >> 32) % 5 {
+                    0 => next() as i64,
+                    1 => i64::MIN,
+                    2 => (next() % 512) as i64 - 256,
+                    3 => 4,
+                    _ => (next() >> 34) as i64 * if r & 1 == 0 { 1 } else { -1 },
+                };
+                let mut vals = vals(|l| base.wrapping_add((stride as u64).wrapping_mul(l as u64)));
+                match (r >> 40) % 4 {
+                    0 => vals = vals.map(|_| next()),
+                    1 => vals[(r >> 48) as usize % WARP] ^= 1 << ((r >> 56) % 64),
+                    _ => {}
+                }
+                (vals, mask)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fits_match_the_wide_fit() {
+        for (vals, mask) in random_requests(0xF17, 20_000) {
+            assert_eq!(
+                fit_affine(&vals, mask),
+                wide_fit(&vals, mask),
+                "{vals:?} {mask:?}"
+            );
+            let words = VU::from_fn(|l| vals[l] as u32);
+            let wide = words.0.map(u64::from);
+            assert_eq!(
+                fit_words(&words, mask),
+                wide_fit(&wide, mask),
+                "{wide:?} {mask:?}"
+            );
+        }
+    }
+
+    /// One request's report entry — counters, form, prediction and stream
+    /// digest — is the same whichever entry point records it.
+    #[test]
+    fn a_request_records_alike_on_every_path() {
+        let model = PredictModel::Sectors { sector_bytes: 32 };
+        let report = |f: &dyn Fn(&mut SymBlockCollector)| {
+            let mut c = SymBlockCollector::for_block();
+            f(&mut c);
+            f(&mut c);
+            c.into_report()
+        };
+        for (vals, mask) in random_requests(0xD16E57, 5_000) {
+            if mask.is_empty() {
+                continue;
+            }
+            let by_lanes = report(&|c| {
+                c.record(
+                    site(1),
+                    AccessClass::GlobalLoad,
+                    &vals,
+                    mask,
+                    3,
+                    model,
+                    false,
+                )
+            });
+            if let Some((base, stride)) = fit_affine(&vals, mask).coeffs() {
+                let by_form = report(&|c| {
+                    c.record_affine(
+                        site(1),
+                        AccessClass::GlobalLoad,
+                        base,
+                        stride,
+                        mask,
+                        3,
+                        model,
+                    )
+                });
+                assert_eq!(by_form, by_lanes, "{vals:?} {mask:?}");
+            }
+            let words = VU::from_fn(|l| vals[l] as u32);
+            let wide = words.0.map(u64::from);
+            let by_words = report(&|c| {
+                c.record_words(site(1), AccessClass::GlobalLoad, &words, mask, 3, model)
+            });
+            let by_wide = report(&|c| {
+                c.record(
+                    site(1),
+                    AccessClass::GlobalLoad,
+                    &wide,
+                    mask,
+                    3,
+                    model,
+                    false,
+                )
+            });
+            assert_eq!(by_words, by_wide, "{wide:?} {mask:?}");
+        }
+        // A lane run as the span path records it: stride 4 from lane `lo`,
+        // a one-lane run included.
+        for (lo, n) in [(0, 32), (3, 20), (31, 1), (0, 1)] {
+            let first = 0x4000_0010u64;
+            let mask = LaneMask::from_fn(|l| (lo..lo + n).contains(&l));
+            let run = vals(|l| (first + 4 * l as u64).wrapping_sub(4 * lo as u64));
+            let by_lanes = report(&|c| {
+                c.record(
+                    site(2),
+                    AccessClass::GlobalStore,
+                    &run,
+                    mask,
+                    2,
+                    model,
+                    false,
+                )
+            });
+            let base = i128::from(first) - 4 * lo as i128;
+            let by_form = report(&|c| {
+                c.record_affine(site(2), AccessClass::GlobalStore, base, 4, mask, 2, model)
+            });
+            assert_eq!(by_form, by_lanes, "lo {lo} n {n}");
+        }
+    }
+
+    /// Every site keeps its own slot however many there are: past the
+    /// indexed ones, and whatever buckets their keys share.
+    #[test]
+    fn many_sites_keep_their_own_slots() {
+        let model = PredictModel::Sectors { sector_bytes: 32 };
+        let addrs = vals(|l| 0x1000 + l as u64 * 4);
+        let mut c = SymBlockCollector::for_block();
+        for round in 1..=3u64 {
+            for line in 0..100 {
+                for class in [AccessClass::GlobalLoad, AccessClass::GlobalStore] {
+                    if !(line as u64 + round).is_multiple_of(3) {
+                        c.record(site(line), class, &addrs, LaneMask::ALL, 4, model, false);
+                    }
+                }
+            }
+        }
+        let rep = c.into_report();
+        assert_eq!(rep.sites.len(), 200);
+        for r in &rep.sites {
+            let want = (1..=3u64)
+                .filter(|round| !(r.site.line as u64 + round).is_multiple_of(3))
+                .count();
+            assert_eq!(r.requests, want as u64, "{r:?}");
+        }
+    }
+
+    /// The digest tells requests apart by every word that fixes their lane
+    /// values — mask, base, stride, or the lanes of an irregular one — and
+    /// by their order.
+    #[test]
+    fn digests_tell_requests_and_their_order_apart() {
+        let model = PredictModel::Measured;
+        let digest = |reqs: &[(i128, i64, u32)]| {
+            let mut c = SymBlockCollector::for_block();
+            for &(base, stride, mask) in reqs {
+                let vals = vals(|l| (base + stride as i128 * l as i128) as u64);
+                c.record(
+                    site(5),
+                    AccessClass::GlobalLoad,
+                    &vals,
+                    LaneMask(mask),
+                    1,
+                    model,
+                    false,
+                );
+            }
+            c.into_report().sites[0].stream_hash
+        };
+        let one = [
+            (0x1000, 4, u32::MAX),
+            (0x1004, 4, u32::MAX),
+            (0x1000, 8, u32::MAX),
+            (0x1000, -4, u32::MAX),
+            (0x1000, 4, 0xFFFF),
+            (0x1000, 0, u32::MAX),
+            (0x1000, 0, 1),
+        ];
+        let mut seen: Vec<u64> = one.iter().map(|r| digest(&[*r])).collect();
+        let mut irregular = SymBlockCollector::for_block();
+        let scattered = vals(|l| 0x1000 + ((l * 7) % 13) as u64 * 4);
+        irregular.record(
+            site(5),
+            AccessClass::GlobalLoad,
+            &scattered,
+            LaneMask::ALL,
+            1,
+            model,
+            false,
+        );
+        seen.push(irregular.into_report().sites[0].stream_hash);
+        seen.push(digest(&[one[0], one[1]]));
+        seen.push(digest(&[one[1], one[0]]));
+        let distinct: std::collections::BTreeSet<u64> = seen.iter().copied().collect();
+        assert_eq!(distinct.len(), seen.len(), "{seen:x?}");
+    }
+
+    /// The cached closed forms equal fresh ones: a site sees the same few
+    /// strides and masks at many bases, every residue modulo the sector
+    /// included, and every prediction must still match the coalescer.
+    #[test]
+    fn cached_closed_forms_match_the_coalescer_at_every_base() {
+        let model = PredictModel::Sectors { sector_bytes: 32 };
+        let mut c = SymBlockCollector::for_block();
+        let mut measured_total = 0;
+        for (i, (stride, mask)) in [
+            (4i64, LaneMask::ALL),
+            (4, LaneMask(0x00FF_FF00)),
+            (12, LaneMask(0xF0F0_F0F1)),
+            (-36, LaneMask::first(9)),
+            (1, LaneMask::ALL),
+        ]
+        .into_iter()
+        .cycle()
+        .take(1000)
+        .enumerate()
+        {
+            let base = 0x1_0000 + (i as i64 * 7) % 4096;
+            let addrs = vals(|l| (base + stride * l as i64) as u64);
+            let measured = coalesce(&addrs, mask, 4, 32).transactions();
+            measured_total += measured;
+            c.record(
+                site(3),
+                AccessClass::GlobalLoad,
+                &addrs,
+                mask,
+                measured,
+                model,
+                false,
+            );
+        }
+        let r = &c.into_report().sites[0];
+        assert_eq!((r.mismatches, r.predicted_requests), (0, 1000));
+        assert_eq!(r.predicted, measured_total);
+    }
+
+    #[test]
+    fn closed_form_sectors_match_coalescer_on_random_forms() {
+        let mut rng = 0xC0A1_u64;
+        let mut next = move || {
+            rng = mix64(rng);
+            rng
+        };
+        for _ in 0..20_000 {
+            let r = next();
+            let base = (1u64 << 40) + next() % (1 << 20);
+            let stride = match r % 3 {
+                0 => (next() % 512) as i64 - 256,
+                1 => (next() % (1 << 30)) as i64 - (1 << 29),
+                _ => {
+                    [0, 1, 2, 3, 4, 8, 28, 29, 32, 36][(next() % 10) as usize]
+                        * if r & 8 == 0 { 1 } else { -1 }
+                }
+            };
+            let mask = LaneMask(match r >> 40 & 1 {
+                // A run of lanes, as lane runs and boundary masks are.
+                0 => (u32::MAX >> ((r >> 48) % 32)) << ((r >> 56) % 32),
+                _ => next() as u32 | (1 << ((r >> 32) % 32)),
+            });
+            if mask.is_empty() {
+                continue;
+            }
+            let addrs = vals(|l| (base as i64 + stride * l as i64) as u64);
+            let measured = coalesce(&addrs, mask, 4, 32).transactions();
+            assert_eq!(
+                sectors_from_form(base as i128, stride, mask, 32),
+                measured,
+                "base {base:#x} stride {stride} mask {mask:?}"
+            );
         }
     }
 

@@ -21,7 +21,7 @@
 //! allocation, so the engine's per-worker scratch pool amortizes trace and
 //! page-table memory across blocks *and* launches.
 
-use crate::memory::global::{BufId, GlobalMem};
+use crate::memory::global::{read_oob, write_oob, BufId, GlobalMem};
 use crate::memory::LaneRun;
 
 /// Sector granularity of the trace encoding: addresses are recorded in
@@ -477,12 +477,7 @@ impl GlobalView<'_> {
         use crate::lane::VF;
         let read = |data: &[f32], i: u32| match data.get(i as usize) {
             Some(&v) => v,
-            None => panic!(
-                "device read OOB: buffer {} has {} elems, index {}",
-                id.0,
-                data.len(),
-                i
-            ),
+            None => read_oob(id, data.len(), i),
         };
         match self {
             GlobalView::Direct(mem) => {
@@ -601,10 +596,7 @@ impl GlobalView<'_> {
                     let i = idx.lane(l);
                     match data.get_mut(i as usize) {
                         Some(slot) => *slot = val.lane(l),
-                        None => panic!(
-                            "device write OOB: buffer {} has {len} elems, index {}",
-                            id.0, i
-                        ),
+                        None => write_oob(id, len, i),
                     }
                 }
             }
@@ -616,10 +608,7 @@ impl GlobalView<'_> {
                     }
                     let i = idx.lane(l);
                     if i as usize >= len {
-                        panic!(
-                            "device write OOB: buffer {} has {len} elems, index {}",
-                            id.0, i
-                        );
+                        write_oob(id, len, i);
                     }
                     store.write(id, i, val.lane(l));
                 }

@@ -14,11 +14,15 @@
 //! tensors. Phantom execution drives the ordinary launch machinery — same
 //! grid, same sampling and extrapolation, either launch engine — but loads
 //! return a canary value, stores are bounds-checked and dropped, and every
-//! warp access is routed through the pure coalescing prefix of the real
-//! datapath. For a data-independent kernel the request/transaction
-//! counters come out **bit-identical** to a real run (CI-gated over the
-//! first-party model zoo), at zero modeled cost: no trial data is
-//! generated, no cache or DRAM traffic is simulated.
+//! warp access is counted by the pure prefix of the real datapath: a lane
+//! run from its span's two ends, as the real run's span path counts it,
+//! any other access by the coalescer. For a data-independent kernel the
+//! request/transaction counters come out **bit-identical** to a real run
+//! (CI-gated over the first-party model zoo), at zero modeled cost: no
+//! trial data is generated, no cache or DRAM traffic is simulated, and no
+//! L2 is built. Recording the symbolic evidence below is O(1) per request,
+//! so a phantom run costs less host time than the real run it stands in
+//! for; `predict` prints the ratio over the zoo on every run.
 //!
 //! Two layers of evidence accompany each prediction:
 //!
@@ -29,8 +33,11 @@
 //!    iff every closed form agreed with the simulator's counters.
 //! 2. **Differential phantom execution** — the kernel runs twice under
 //!    different canaries; [`Prediction::consistent`] is `true` iff every
-//!    site's address-stream hash is unchanged, certifying the address
-//!    streams cannot depend on loaded values. Structurally dynamic sites
+//!    site's address-stream digest is unchanged, certifying the address
+//!    streams cannot depend on loaded values. A request's digest folds its
+//!    mask, base and stride when affine, its lane values otherwise — a
+//!    function of the lane values alone; digests are compared within one
+//!    build and never persisted. Structurally dynamic sites
 //!    (`PrivArray::*_dyn`) are reported as data-dependent regardless,
 //!    because their canary-invariance is accidental (e.g. the
 //!    `shuffle_dynamic` baseline's offset table holds compile-time

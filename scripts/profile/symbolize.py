@@ -2,6 +2,7 @@
 """Turn sampler.c's samples into leaf, inclusive and libc-caller tables.
 
     python3 scripts/profile/symbolize.py <executable> <samples> [--top N]
+        [--within FUNCTION]
 
 <samples> is the file sampler.c wrote (PROFILE_OUT), with its
 <samples>.maps beside it. Every address in the executable is symbolized
@@ -12,10 +13,18 @@ named by library. Shares are of all samples.
 - leaf: the function the sample interrupted;
 - inclusive: the leaf and every executable function on the sample's
   stack, counted once;
+- leaf files: the source file of the instruction the sample interrupted:
+  its innermost inlined function's, so code inlined into a caller in
+  another file still counts for its own file, except that standard
+  library code (under /rustc/) counts for the file that called it;
 - libc callers: for samples whose leaf is in a shared library, the first
   executable function on the stack (the word at the stack pointer when it
   is a return address into the executable, as for a frameless memset;
   otherwise the frame-pointer chain).
+
+--within FUNCTION keeps only the samples whose stack holds a function,
+physical or inlined, whose name contains FUNCTION (say `graph::setup`
+for a workload's set-up), and takes the shares of those samples.
 """
 
 import argparse
@@ -59,7 +68,8 @@ def locate(maps, addr):
 
 
 def symbolize(exe, addrs):
-    """Physical function name per executable-relative address."""
+    """Per executable-relative address, its (function, source file) pairs,
+    innermost inlined function first; the last is the physical one."""
     if not addrs:
         return {}
     out = subprocess.run(
@@ -70,14 +80,17 @@ def symbolize(exe, addrs):
         check=True,
     ).stdout.splitlines()
     # Per address: the address, then (function, file:line) pairs, innermost
-    # inlined function first; the last function is the physical one.
+    # inlined function first.
     names, addr, is_function = {}, None, False
     for line in out:
         if ADDRESS.fullmatch(line):
             addr, is_function = int(line, 16), True
+            names[addr] = []
         elif addr is not None:
             if is_function:
-                names[addr] = HASH.sub("", line)
+                function = HASH.sub("", line)
+            else:
+                names[addr].append((function, line.split(":")[0]))
             is_function = not is_function
     return names
 
@@ -87,6 +100,7 @@ def main():
     ap.add_argument("exe")
     ap.add_argument("samples")
     ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--within", metavar="FUNCTION")
     args = ap.parse_args()
     maps, base = read_maps(args.samples + ".maps", args.exe)
 
@@ -111,26 +125,63 @@ def main():
         frames = [(w, a) for w, a in frames if w is not None]
         stacks.append(frames)
         wanted.update(a - base for w, a in frames if w == "exe")
-    names = symbolize(args.exe, wanted)
+    chains = symbolize(args.exe, wanted)
 
     def name(frame):
         where, addr = frame
-        return names.get(addr - base, "??") if where == "exe" else f"[{where}]"
+        if where != "exe":
+            return f"[{where}]"
+        chain = chains.get(addr - base)
+        return chain[-1][0] if chain else "??"
+
+    def source(frame):
+        where, addr = frame
+        if where != "exe":
+            return f"[{where}]"
+        chain = chains.get(addr - base)
+        if not chain:
+            return "??"
+        own = [path for _, path in chain if not path.startswith("/rustc/")]
+        return os.path.basename((own or [chain[0][1]])[0])
+
+    total = len(samples)
+    if args.within:
+        stacks = [
+            frames
+            for frames in stacks
+            if any(
+                args.within in f
+                for where, addr in frames
+                if where == "exe"
+                for f, _ in chains.get(addr - base, ())
+            )
+        ]
+        print(f"{len(stacks)} of {total} samples within {args.within}")
+        total = len(stacks)
+        if not total:
+            sys.exit("symbolize: no samples within " + args.within)
 
     leaf, inclusive, callers = collections.Counter(), collections.Counter(), collections.Counter()
+    files = collections.Counter()
     for frames in stacks:
         if not frames:
             continue
         leaf[name(frames[0])] += 1
+        files[source(frames[0])] += 1
         for n in {name(fr) for fr in frames[:1] + [fr for fr in frames if fr[0] == "exe"]}:
             inclusive[n] += 1
         if frames[0][0] != "exe":
             caller = next((name(fr) for fr in frames[1:] if fr[0] == "exe"), "(unknown)")
             callers[f"{name(frames[0])} <- {caller}"] += 1
 
-    total = len(samples)
     print(f"{total} samples")
-    for title, table in (("leaf", leaf), ("inclusive", inclusive), ("libc callers", callers)):
+    tables = (
+        ("leaf", leaf),
+        ("inclusive", inclusive),
+        ("leaf files", files),
+        ("libc callers", callers),
+    )
+    for title, table in tables:
         print(f"\n{title}:")
         for n, c in table.most_common(args.top):
             print(f"  {100.0 * c / total:5.1f}%  {n}")
