@@ -945,7 +945,15 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         } else {
             PredictModel::Measured
         };
-        s.record_words(site, class, idx, mask, measured, model);
+        s.record(
+            site,
+            class,
+            &idx.0.map(u64::from),
+            mask,
+            measured,
+            model,
+            false,
+        );
     }
 
     /// Constant-memory broadcast load: one uniform element of `buf` read

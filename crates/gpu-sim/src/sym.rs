@@ -50,13 +50,13 @@
 //! max-words-per-bank pass count for scalar shared sites — and validated
 //! against the simulator's measured transactions for the same request.
 //!
-//! Recording is O(1) per request: a hashed index finds the site's slot,
-//! the fit needs no 128-bit division (and a lane run, whose form is known,
-//! none at all: [`SymBlockCollector::record_affine`]), and the closed
-//! forms are cached per site, keyed by what they depend on — base modulo
-//! the sector size, stride and mask for sectors; stride and mask alone for
-//! passes — which translation does not change. The cached count is still
-//! compared with the measured one on every request.
+//! Recording is O(1) per request: a scan of the kernel's few sites finds
+//! the request's slot, the fit needs no 128-bit division (and a lane run,
+//! whose form is known, none at all: [`SymBlockCollector::record_affine`]),
+//! and the closed forms are cached per site, keyed by what they depend on
+//! — base modulo the sector size, stride and mask for sectors; stride and
+//! mask alone for passes — which translation does not change. The cached
+//! count is still compared with the measured one on every request.
 //! The [`SymSiteRecord::mismatches`] counter therefore doubles as a proof
 //! obligation: it is zero exactly when the closed form and the hardware
 //! model agree, which the `predict` CI gate enforces over the full
@@ -80,7 +80,7 @@
 //! build and never persisted.
 
 use crate::analysis::{AccessClass, SiteId};
-use crate::lane::{LaneMask, VU, WARP};
+use crate::lane::{LaneMask, WARP};
 use crate::memory::coalescer::LANE_BIT;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -204,30 +204,24 @@ impl Fit {
     }
 }
 
-/// The line a fit checks the lanes against: through the first two active
-/// lanes of `mask` (`v(l)` gives lane values), with an integer stride, and
-/// inside `0..=max` up to the last active lane. `Ok((l0, v0, stride))` for
-/// it; `Err` with the fit itself when one lane settles it or no such line
-/// exists. At most one 64-bit division: the two lanes' difference fits a
-/// `u64`.
-fn line_through(
-    v: impl Fn(usize) -> u64,
-    mask: LaneMask,
-    max: u64,
-) -> Result<(usize, u64, i64), Fit> {
+/// Fit `v(lane) = base + stride·lane` over the active lanes, exactly: the
+/// line through the first two active lanes (at most one 64-bit division:
+/// their difference fits a `u64`), a range check at the last active lane,
+/// then one branch-free pass over the warp in wrapping 64-bit arithmetic.
+fn fit_affine(vals: &[u64; WARP], mask: LaneMask) -> Fit {
     let m = mask.0;
     if m == 0 {
-        return Err(Fit::Irregular); // callers skip empty masks
+        return Fit::Irregular; // callers skip empty masks
     }
     let l0 = m.trailing_zeros() as usize;
-    let v0 = v(l0);
+    let v0 = vals[l0];
     let rest = m & (m - 1);
     if rest == 0 {
         // Single point: report its value as the base.
-        return Err(Fit::Any { base: v0 as i128 });
+        return Fit::Any { base: v0 as i128 };
     }
     let l1 = rest.trailing_zeros() as usize;
-    let v1 = v(l1);
+    let v1 = vals[l1];
     let dl = (l1 - l0) as u64;
     let (mag, neg) = if v1 >= v0 {
         (v1 - v0, false)
@@ -236,28 +230,31 @@ fn line_through(
     };
     // Neighbouring first lanes, the common case, need no division. A
     // stride that is not whole truncates here, and lane l1 then misses the
-    // line in the fit's pass.
+    // line in the pass below.
     let q = if dl == 1 { mag } else { mag / dl };
     let stride = match (neg, i64::try_from(q)) {
         (false, Ok(s)) => s,
         (true, Ok(s)) => -s,
         (true, Err(_)) if q == 1 << 63 => i64::MIN,
-        _ => return Err(Fit::Irregular),
+        _ => return Fit::Irregular,
     };
     // The line is monotone and passes through v0, so it stays in range over
     // the active lanes iff it does at the last one; there, lane values equal
-    // it exactly iff they do modulo the lane type's range.
+    // it exactly iff they do modulo 2^64.
     let top = (31 - m.leading_zeros()) as usize;
     let end = v0 as i128 + stride as i128 * (top - l0) as i128;
-    if !(0..=max as i128).contains(&end) {
-        return Err(Fit::Irregular);
+    if !(0..=u64::MAX as i128).contains(&end) {
+        return Fit::Irregular;
     }
-    Ok((l0, v0, stride))
-}
-
-/// The affine fit once every active lane is on the line (`on_line`).
-fn line_fit(on_line: bool, l0: usize, v0: u64, stride: i64) -> Fit {
-    if !on_line {
+    let step = stride as u64;
+    let mut want = v0.wrapping_sub(step.wrapping_mul(l0 as u64));
+    let mut off = 0u64;
+    for (l, &v) in vals.iter().enumerate() {
+        let active = if m & LANE_BIT[l] != 0 { u64::MAX } else { 0 };
+        off |= (v ^ want) & active;
+        want = want.wrapping_add(step);
+    }
+    if off != 0 {
         return Fit::Irregular;
     }
     Fit::Affine {
@@ -266,76 +263,17 @@ fn line_fit(on_line: bool, l0: usize, v0: u64, stride: i64) -> Fit {
     }
 }
 
-/// Fit `v(lane) = base + stride·lane` over the active lanes, exactly: the
-/// line through the first two, then one branch-free pass over the warp in
-/// wrapping 64-bit arithmetic.
-fn fit_affine(vals: &[u64; WARP], mask: LaneMask) -> Fit {
-    let (l0, v0, stride) = match line_through(|l| vals[l], mask, u64::MAX) {
-        Ok(line) => line,
-        Err(fit) => return fit,
-    };
-    let step = stride as u64;
-    let mut want = v0.wrapping_sub(step.wrapping_mul(l0 as u64));
-    let mut off = 0u64;
-    for (l, &v) in vals.iter().enumerate() {
-        let active = if mask.0 & LANE_BIT[l] != 0 {
-            u64::MAX
-        } else {
-            0
-        };
-        off |= (v ^ want) & active;
-        want = want.wrapping_add(step);
-    }
-    line_fit(off == 0, l0, v0, stride)
-}
-
-/// [`fit_affine`] of 32-bit lane values (shared-memory word indices), its
-/// pass over the warp in 32-bit lanes.
-fn fit_words(words: &VU, mask: LaneMask) -> Fit {
-    let lane = |l: usize| u64::from(words.0[l]);
-    let (l0, v0, stride) = match line_through(lane, mask, u64::from(u32::MAX)) {
-        Ok(line) => line,
-        Err(fit) => return fit,
-    };
-    let step = stride as u32;
-    let mut want = (v0 as u32).wrapping_sub(step.wrapping_mul(l0 as u32));
-    let mut off = 0u32;
-    for (l, &v) in words.0.iter().enumerate() {
-        let active = if mask.0 & LANE_BIT[l] != 0 {
-            u32::MAX
-        } else {
-            0
-        };
-        off |= (v ^ want) & active;
-        want = want.wrapping_add(step);
-    }
-    line_fit(off == 0, l0, v0, stride)
-}
-
 /// Closed-form transaction count from affine coefficients: the number of
 /// distinct sectors the 4-byte accesses `{base + stride·l | l ∈ mask}`
 /// touch, mirroring [`crate::memory::coalesce`] exactly (including
 /// sector-straddling accesses), for a power-of-two `sector_bytes`. The
 /// addresses are monotone in the lane, so taken from the lowest up each
 /// access adds the sectors it reaches above the highest one counted so
-/// far; when the lanes are contiguous and the stride at most 4 B either
-/// way (a lane run, say), the accesses cover one byte span and so every
-/// sector from its first byte to its last. Moving `base` by a multiple of
-/// `sector_bytes` moves every sector alike, so the count depends on `base`
-/// only modulo that.
+/// far. Moving `base` by a multiple of `sector_bytes` moves every sector
+/// alike, so the count depends on `base` only modulo that.
 fn sectors_from_form(base: i128, stride: i64, mask: LaneMask, sector_bytes: u64) -> u64 {
     debug_assert!(sector_bytes.is_power_of_two());
     let (align, shift) = (!(sector_bytes as i128 - 1), sector_bytes.trailing_zeros());
-    let m = mask.0;
-    let (lo, hi) = (m.trailing_zeros(), 31u32.wrapping_sub(m.leading_zeros()));
-    if m != 0 && m >> lo == u32::MAX >> (31 - (hi - lo)) && (-4..=4).contains(&stride) {
-        let (a, b) = (
-            base + (stride * lo as i64) as i128,
-            base + (stride * hi as i64) as i128,
-        );
-        let (first, last) = (a.min(b), a.max(b) + 3);
-        return (((last & align) - (first & align)) >> shift) as u64 + 1;
-    }
     let mut count = 0;
     let mut top: Option<i128> = None;
     for j in 0..WARP {
@@ -654,35 +592,18 @@ impl SiteSlot {
     }
 }
 
-/// Buckets of a collector's slot index.
-const SLOT_BUCKETS: usize = 64;
-
 /// Per-block (then launch-wide, via block-linear merge) collector of
 /// symbolic site state. Mirrors the analyzer's collector shape so both
 /// launch engines aggregate identically.
 ///
 /// Recording is O(1) per request and allocates only when a site is first
-/// seen: a request finds its site's slot through a linearly probed hash
-/// index of `(site, class)`, and the closed forms come from the slot's
-/// cache.
-#[derive(Debug, Clone)]
+/// seen: a request finds its site's slot by a scan of a kernel's few
+/// sites, and the closed forms come from the slot's cache.
+#[derive(Debug, Clone, Default)]
 pub struct SymBlockCollector {
     /// One slot per `(site, class)`, in first-seen order; reports sort them.
     slots: Vec<SiteSlot>,
-    /// Slot index + 1 per hash bucket of `(site, class)`, 0 when empty
-    /// (linear probing, never more than half full).
-    index: [u32; SLOT_BUCKETS],
     blocks: u64,
-}
-
-impl Default for SymBlockCollector {
-    fn default() -> Self {
-        SymBlockCollector {
-            slots: Vec::new(),
-            index: [0; SLOT_BUCKETS],
-            blocks: 0,
-        }
-    }
 }
 
 impl SymBlockCollector {
@@ -694,24 +615,9 @@ impl SymBlockCollector {
         }
     }
 
-    /// The slot of `(site, class)`, created empty on first sight. The
-    /// index is probed linearly from the key's bucket to the first empty
-    /// one; it indexes at most half as many sites as it has buckets, so an
-    /// empty bucket always ends the probe, and a site beyond that is found
-    /// by a scan of the slots.
+    /// The slot of `(site, class)`, created empty on first sight.
     #[inline(always)]
     fn slot(&mut self, site: SiteId, class: AccessClass) -> &mut SiteSlot {
-        let h = (site.line.wrapping_mul(0x9E37_79B9) ^ site.column.wrapping_mul(0x85EB_CA6B))
-            .wrapping_add(class as u32)
-            .wrapping_mul(0x2545_F491);
-        let mut bucket = (h >> 26) as usize;
-        loop {
-            match self.index[bucket] as usize {
-                0 => break,
-                i if self.slots[i - 1].is(&site, class) => return &mut self.slots[i - 1],
-                _ => bucket = (bucket + 1) % SLOT_BUCKETS,
-            }
-        }
         let i = match self.slots.iter().position(|s| s.is(&site, class)) {
             Some(i) => i,
             None => {
@@ -719,9 +625,6 @@ impl SymBlockCollector {
                 self.slots.len() - 1
             }
         };
-        if i < SLOT_BUCKETS / 2 {
-            self.index[bucket] = i as u32 + 1;
-        }
         &mut self.slots[i]
     }
 
@@ -750,31 +653,6 @@ impl SymBlockCollector {
         slot.agg.stream_hash = match fit.coeffs() {
             Some((base, stride)) => digest_form(h, mask, base, stride),
             None => digest_lanes(h, mask, vals),
-        };
-    }
-
-    /// [`SymBlockCollector::record`] of shared-memory word indices — the
-    /// same aggregate, prediction and digest as recording them widened to
-    /// `u64` — with the fit in 32-bit lanes.
-    pub fn record_words(
-        &mut self,
-        site: SiteId,
-        class: AccessClass,
-        words: &VU,
-        mask: LaneMask,
-        measured: u64,
-        model: PredictModel,
-    ) {
-        if mask.is_empty() {
-            return;
-        }
-        let fit = fit_words(words, mask);
-        let slot = self.slot(site, class);
-        slot.observe(fit, mask, measured, model, false);
-        let h = slot.agg.stream_hash;
-        slot.agg.stream_hash = match fit.coeffs() {
-            Some((base, stride)) => digest_form(h, mask, base, stride),
-            None => digest_lanes(h, mask, &words.0.map(u64::from)),
         };
     }
 
@@ -1091,7 +969,7 @@ mod tests {
     }
 
     /// The fit as it was computed in 128-bit arithmetic, kept as the
-    /// oracle of [`fit_affine`] and [`fit_words`].
+    /// oracle of [`fit_affine`].
     fn wide_fit(vals: &[u64; WARP], mask: LaneMask) -> Fit {
         let mut lanes = mask.lanes();
         let Some(l0) = lanes.next() else {
@@ -1170,12 +1048,12 @@ mod tests {
                 wide_fit(&vals, mask),
                 "{vals:?} {mask:?}"
             );
-            let words = VU::from_fn(|l| vals[l] as u32);
-            let wide = words.0.map(u64::from);
+            // Shared-memory word indices, widened from 32 bits.
+            let words = vals.map(|v| u64::from(v as u32));
             assert_eq!(
-                fit_words(&words, mask),
-                wide_fit(&wide, mask),
-                "{wide:?} {mask:?}"
+                fit_affine(&words, mask),
+                wide_fit(&words, mask),
+                "{words:?} {mask:?}"
             );
         }
     }
@@ -1220,23 +1098,6 @@ mod tests {
                 });
                 assert_eq!(by_form, by_lanes, "{vals:?} {mask:?}");
             }
-            let words = VU::from_fn(|l| vals[l] as u32);
-            let wide = words.0.map(u64::from);
-            let by_words = report(&|c| {
-                c.record_words(site(1), AccessClass::GlobalLoad, &words, mask, 3, model)
-            });
-            let by_wide = report(&|c| {
-                c.record(
-                    site(1),
-                    AccessClass::GlobalLoad,
-                    &wide,
-                    mask,
-                    3,
-                    model,
-                    false,
-                )
-            });
-            assert_eq!(by_words, by_wide, "{wide:?} {mask:?}");
         }
         // A lane run as the span path records it: stride 4 from lane `lo`,
         // a one-lane run included.
@@ -1263,8 +1124,7 @@ mod tests {
         }
     }
 
-    /// Every site keeps its own slot however many there are: past the
-    /// indexed ones, and whatever buckets their keys share.
+    /// Every site keeps its own slot however many there are.
     #[test]
     fn many_sites_keep_their_own_slots() {
         let model = PredictModel::Sectors { sector_bytes: 32 };

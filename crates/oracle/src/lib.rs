@@ -21,8 +21,8 @@
 //! (CI-gated over the first-party model zoo), at zero modeled cost: no
 //! trial data is generated, no cache or DRAM traffic is simulated, and no
 //! L2 is built. Recording the symbolic evidence below is O(1) per request,
-//! so a phantom run costs less host time than the real run it stands in
-//! for; `predict` prints the ratio over the zoo on every run.
+//! so a phantom run costs about the host time of the real run it stands
+//! in for; `predict` prints the ratio over the zoo on every run.
 //!
 //! Two layers of evidence accompany each prediction:
 //!
