@@ -324,10 +324,14 @@ impl ConvNchwAlgorithm for FftConv {
                    sh: usize,
                    sw: usize|
          -> KernelStats {
-            let total = (planes * pp) as u32;
+            let span = planes * pp;
+            let total = span as u32;
             let blocks = total.div_ceil(256);
             let cfg = LaunchConfig::linear(blocks, 256)
-                .with_sample(SampleMode::auto(blocks as u64, 4096));
+                .with_sample(crate::aux_sample(self.sample, blocks));
+            // `p` is a power of two: a padded plane's row and column are
+            // bit fields of the element index.
+            let (src_plane, log_p, col) = (sh * sw, p.trailing_zeros(), p - 1);
             sim.launch(&cfg, |blk| {
                 let bx = blk.block_idx.0;
                 blk.each_warp(|w| {
@@ -335,13 +339,13 @@ impl ConvNchwAlgorithm for FftConv {
                     let mask = tid.lt_scalar(total);
                     let inb = LaneMask::from_fn(|l| {
                         let e = tid.lane(l) as usize;
-                        let (y, x) = (e % pp / p, e % pp % p);
-                        y < sh && x < sw && e < planes * pp
+                        let (y, x) = ((e >> log_p) & col, e & col);
+                        y < sh && x < sw && e < span
                     });
                     let gidx = VU::from_fn(|l| {
-                        let e = tid.lane(l) as usize % (planes * pp);
-                        let (pl, y, x) = (e / pp, e % pp / p, e % pp % p);
-                        (pl * sh * sw + y.min(sh - 1) * sw + x.min(sw - 1)) as u32
+                        let e = tid.lane(l) as usize % span;
+                        let (pl, y, x) = (e >> (2 * log_p), (e >> log_p) & col, e & col);
+                        (pl * src_plane + y.min(sh - 1) * sw + x.min(sw - 1)) as u32
                     });
                     let v = w.gld(src, &gidx, inb & mask);
                     let zero = VF::splat(0.0);
@@ -460,20 +464,35 @@ impl ConvNchwAlgorithm for FftConv {
 
         // --- crop the valid correlation ------------------------------------
         {
-            let total = g.out_elems() as u32;
+            let elems = g.out_elems();
+            let total = elems as u32;
             let blocks = total.div_ceil(256);
             let cfg = LaunchConfig::linear(blocks, 256)
-                .with_sample(SampleMode::auto(blocks as u64, 4096));
+                .with_sample(crate::aux_sample(self.sample, blocks));
+            let out_plane = oh * ow;
             let stats = sim.launch(&cfg, |blk| {
                 let bx = blk.block_idx.0;
                 blk.each_warp(|w| {
                     let tid = VU::from_fn(|l| bx * 256 + (w.warp_id * WARP + l) as u32);
                     let mask = tid.lt_scalar(total);
-                    let gidx = VU::from_fn(|l| {
-                        let e = tid.lane(l) as usize % g.out_elems();
-                        let plane = e / (oh * ow);
-                        let (y, x) = (e % (oh * ow) / ow, e % ow);
-                        (plane * pp + y * p + x) as u32
+                    // Lane `l` crops element `(tid₀ + l) mod elems`: the
+                    // first lane's (plane, row, column), then a step per
+                    // lane with its carries.
+                    let e0 = tid.lane(0) as usize % elems;
+                    let (mut plane, mut y, mut x) = (e0 / out_plane, e0 % out_plane / ow, e0 % ow);
+                    let gidx = VU::from_fn(|_| {
+                        let i = (plane * pp + y * p + x) as u32;
+                        x += 1;
+                        if x == ow {
+                            (x, y) = (0, y + 1);
+                            if y == oh {
+                                (y, plane) = (0, plane + 1);
+                                if plane == planes {
+                                    plane = 0;
+                                }
+                            }
+                        }
+                        i
                     });
                     let v = w.gld(out_re, &gidx, mask);
                     w.count_fp(4);
@@ -792,6 +811,22 @@ mod tests {
     fn fft_tiling_matches_reference_multi_tile() {
         check_tiling(1, 1, 48, 40, 1, 5);
         check_tiling(2, 2, 35, 35, 2, 3);
+    }
+
+    #[test]
+    fn full_mode_pads_every_plane() {
+        // 1,040 padded 32×32 planes per operand: 4,160 blocks per pad
+        // launch, past the 4,096 a sampled caller's pad simulates.
+        let mut rng = TensorRng::new(31);
+        let t = rng.tensor(1, 1040, 8, 8);
+        let b = rng.filter_bank(1, 1040, 1, 1);
+        let mut sim = GpuSim::new(DeviceConfig::test_tiny());
+        let (out, rep) = FftConv::new().run(&mut sim, &t, &b);
+        for (label, s) in &rep.launches {
+            assert_eq!(s.sim_blocks * 256, s.threads, "{label} skipped blocks");
+        }
+        let want = conv_nchw_ref(&t, &b);
+        assert_close(out.as_slice(), want.as_slice(), 1e-3, 1e-3, "1,040 planes");
     }
 
     #[test]

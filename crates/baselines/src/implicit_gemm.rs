@@ -213,20 +213,21 @@ fn run_implicit(
                 let lane = w.lane_id();
                 let rows = &mut acc[w.warp_id];
                 for quad in 0..BK / 4 {
-                    let mut avals = [[VF::splat(0.0); 4]; BM / 8];
-                    for (r, a) in avals.iter_mut().enumerate() {
+                    // A column `kk_in` of the quad's broadcast LDS.128s,
+                    // as uniform scalars (see `gemm_kernel.rs`)
+                    let mut acols = [[0.0f32; BM / 8]; 4];
+                    for r in 0..BM / 8 {
                         let arow = w.warp_id * 8 + r;
-                        let aidx = VU::splat((arow * BK + quad * 4) as u32);
-                        *a = w.sld_vec::<4>(&aidx, LaneMask::ALL);
+                        let a = w.sld_vec::<4>((arow * BK + quad * 4) as u32);
+                        for (col, v) in acols.iter_mut().zip(a) {
+                            col[r] = v;
+                        }
                     }
-                    #[allow(clippy::needless_range_loop)]
-                    for kk_in in 0..4 {
+                    for (kk_in, col) in acols.iter().enumerate() {
                         let kk = quad * 4 + kk_in;
                         let bidx = lane + (BM * BK + kk * BN) as u32;
                         let bval = w.sld(&bidx, LaneMask::ALL);
-                        for (r, slot) in rows.iter_mut().enumerate() {
-                            *slot = w.fma(bval, avals[r][kk_in], *slot);
-                        }
+                        w.fma_col(rows, &bval, col);
                     }
                 }
             });

@@ -30,6 +30,18 @@ pub const LIB_CALL_OVERHEAD_S: f64 = 10e-6;
 /// Host-side dispatch overhead of one cuBLAS call in Caffe's loop.
 pub const CUBLAS_CALL_OVERHEAD_S: f64 = 6e-6;
 
+/// Sampling of an auxiliary copy launch (a pad, crop or staging copy) of
+/// `blocks` blocks for a caller that samples its main launches as
+/// `caller`: every block for a [`SampleMode::Full`] caller, whose output
+/// must be complete, and about 4,096 blocks in locality-preserving chunks
+/// for a sampled one.
+fn aux_sample(caller: SampleMode, blocks: u32) -> SampleMode {
+    match caller {
+        SampleMode::Full => SampleMode::Full,
+        _ => SampleMode::auto(u64::from(blocks), 4096),
+    }
+}
+
 pub mod adapter;
 pub mod cudnn;
 pub mod direct;
@@ -41,6 +53,8 @@ pub mod mec;
 pub mod shuffle_dynamic;
 pub mod tiled;
 pub mod winograd;
+
+use memconv_gpusim::SampleMode;
 
 pub use adapter::As2d;
 pub use cudnn::CudnnFastest;

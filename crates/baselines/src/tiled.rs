@@ -86,7 +86,7 @@ impl ConvNchwAlgorithm for TiledConv {
             let total = input.len() as u32;
             let blocks = total.div_ceil(256);
             let cfg = LaunchConfig::linear(blocks, 256)
-                .with_sample(SampleMode::auto(blocks as u64, 4096));
+                .with_sample(crate::aux_sample(self.sample, blocks));
             let stats = sim.launch(&cfg, |blk| {
                 let bx = blk.block_idx.0;
                 blk.each_warp(|w| {
@@ -254,6 +254,21 @@ mod tests {
         let (_, rep) = TiledConv::arrayfire().run(&mut sim, &t, &b);
         assert_eq!(rep.launches.len(), 2);
         assert_eq!(rep.launches[0].0, "af_stage_copy");
+    }
+
+    #[test]
+    fn full_mode_stages_every_block() {
+        // 1,064,960 input elements: 4,160 staging blocks, past the 4,096 a
+        // sampled caller's staging copy simulates.
+        let mut rng = TensorRng::new(6);
+        let t = rng.tensor(1, 1, 1040, 1024);
+        let b = rng.filter_bank(1, 1, 1, 1);
+        let mut sim = GpuSim::new(DeviceConfig::test_tiny());
+        let (out, rep) = TiledConv::arrayfire().run(&mut sim, &t, &b);
+        for (label, s) in &rep.launches {
+            assert_eq!(s.sim_blocks * 256, s.threads, "{label} skipped blocks");
+        }
+        assert_eq!(out.as_slice(), conv_nchw_ref(&t, &b).as_slice());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks of the simulator substrate itself: the
-//! coalescer, the shared-memory bank model, lane FMA, the sectored cache
-//! (per sector and per line), a warp's lane-run loads, warp shuffles, the
-//! paper's inner loop (row FMAs, filter-weight loads, Algorithm 1's
-//! exchange) and the launch machinery — the per-event costs everything
-//! else multiplies out of.
+//! coalescer, the shared-memory bank model (lane runs, FFT's bit-reversed
+//! stores and butterflies, the GEMM broadcast read), lane FMA, the
+//! sectored cache (per sector and per line), a warp's lane-run loads, warp
+//! shuffles, the paper's inner loop (row FMAs, filter-weight loads,
+//! Algorithm 1's exchange), the GEMM register tile's column FMAs and the
+//! launch machinery — the per-event costs everything else multiplies out
+//! of.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use memconv::core::column_reuse::exchange_step;
@@ -59,15 +61,26 @@ fn bench_shared(c: &mut Criterion) {
     c.bench_function("smem_store", |b| {
         b.iter(|| black_box(smem.store(black_box(&unit), &vals, LaneMask::ALL)))
     });
-    // The GEMM kernels' A-operand read: every lane on one 4-word segment.
-    let broadcast = VU::splat(64);
-    c.bench_function("smem_load_vec_broadcast", |b| {
-        b.iter(|| black_box(smem.load_vec::<4>(black_box(&broadcast), LaneMask::ALL)))
+    // A lane run of consecutive words: one bounds check and one copy.
+    let run = VU::from_fn(|l| 96 + l as u32);
+    c.bench_function("smem_load_run", |b| {
+        b.iter(|| black_box(smem.load(black_box(&run), LaneMask::ALL)))
     });
-    // Every lane on its own segment, in a shuffled order.
-    let scattered = VU::from_fn(|l| ((l as u32 * 7) % 32) * 4);
-    c.bench_function("smem_load_vec_scattered", |b| {
-        b.iter(|| black_box(smem.load_vec::<4>(black_box(&scattered), LaneMask::ALL)))
+    // FFT's bit-reversed store of a 1024-point row: every lane in one bank
+    // on its own word, the general count's worst case.
+    let bitrev = VU::from_fn(|l| ((l as u32).reverse_bits() >> 22) + 3);
+    c.bench_function("smem_store_bitrev", |b| {
+        b.iter(|| black_box(smem.store(black_box(&bitrev), &vals, LaneMask::ALL)))
+    });
+    // An FFT butterfly's `k + j` indices at half 4: two lanes per bank.
+    let butterfly = VU::from_fn(|l| (l as u32 / 4) * 8 + l as u32 % 4);
+    c.bench_function("smem_passes_butterfly", |b| {
+        b.iter(|| black_box(smem.passes(black_box(&butterfly), LaneMask::ALL)))
+    });
+    // The GEMM kernels' A-operand read: every lane on one 4-word segment,
+    // returned as the four scalars a uniform register holds.
+    c.bench_function("smem_load_vec_broadcast", |b| {
+        b.iter(|| black_box(smem.load_vec::<4>(black_box(64))))
     });
 }
 
@@ -124,6 +137,31 @@ fn bench_inner_loop(c: &mut Criterion) {
                     acc = w.fma(x, VF::splat(wt), acc);
                 }
                 black_box(acc);
+            })
+        })
+    });
+    // A GEMM register tile's update by one B register: eight rows times a
+    // column of uniform scalars in one call, against the eight single FMAs
+    // it replaces.
+    let col = [0.5f32, -1.25, 2.0, 0.75, 1.5, -0.5, 0.25, 3.0];
+    c.bench_function("warp_fma_col", |b| {
+        b.iter(|| {
+            warp_loop(&mut sim, |w| {
+                let mut rows = [VF::splat(0.0); 8];
+                w.fma_col(&mut rows, black_box(&xs[0]), black_box(&col));
+                black_box(rows);
+            })
+        })
+    });
+    c.bench_function("warp_fma_col_as_single_fmas", |b| {
+        b.iter(|| {
+            warp_loop(&mut sim, |w| {
+                let mut rows = [VF::splat(0.0); 8];
+                let x = *black_box(&xs[0]);
+                for (row, &a) in rows.iter_mut().zip(black_box(&col)) {
+                    *row = w.fma(x, VF::splat(a), *row);
+                }
+                black_box(rows);
             })
         })
     });

@@ -546,6 +546,21 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         acc.mul_add_row(xs, ws);
     }
 
+    /// One register times a column of warp-uniform scalars:
+    /// `rows.len()` warp FMAs `rows[r] = x * ws[r] + rows[r]`, `r`
+    /// ascending — a GEMM register tile's update by one B register. Counts,
+    /// ticks and rounds exactly as that many [`WarpCtx::fma`] calls with
+    /// splatted scalars, like [`WarpCtx::fma_row`], in one FMA-unit call
+    /// ([`VF::mul_add_col`]).
+    #[inline]
+    pub fn fma_col(&mut self, rows: &mut [VF], x: &VF, ws: &[f32]) {
+        for _ in rows.iter() {
+            self.res.tick(1);
+        }
+        self.res.stats.fma_instrs += rows.len() as u64;
+        x.mul_add_col(rows, ws);
+    }
+
     /// Counted floating add.
     #[inline]
     pub fn fadd(&mut self, a: VF, b: VF) -> VF {
@@ -923,39 +938,6 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         s.record(site, class, vals, mask, measured, model, dynamic);
     }
 
-    /// Feed one shared-memory request's word indices to the symbolic
-    /// collector (phantom mode only): under the bank model, or, for a
-    /// vectorized load (`banked` false), whose pass count is a segment
-    /// property, classified and hashed with no closed-form obligation.
-    fn sym_words(
-        &mut self,
-        site: SiteId,
-        class: AccessClass,
-        idx: &VU,
-        mask: LaneMask,
-        measured: u64,
-        banked: bool,
-    ) {
-        let banks = self.res.dev.smem_banks as u32;
-        let Some(s) = self.res.sym.as_deref_mut() else {
-            return;
-        };
-        let model = if banked {
-            PredictModel::Banks { banks }
-        } else {
-            PredictModel::Measured
-        };
-        s.record(
-            site,
-            class,
-            &idx.0.map(u64::from),
-            mask,
-            measured,
-            model,
-            false,
-        );
-    }
-
     /// Constant-memory broadcast load: one uniform element of `buf` read
     /// through the constant cache (`__constant__` filter weights in the
     /// paper's kernels). Uniform constant-cache reads are served at
@@ -1010,19 +992,28 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         v
     }
 
-    /// Vectorized warp shared-memory load (`LDS.64`/`LDS.128`): `K`
-    /// consecutive words per lane in one (counted) access.
+    /// Warp-uniform vectorized shared-memory load (`LDS.64`/`LDS.128` with
+    /// every lane at word `word`, how GEMM kernels read their A operand):
+    /// the `K` consecutive words as the scalars every lane holds. One
+    /// (counted) access of all 32 lanes and one pass, recorded with the
+    /// lanes' `K`-word footprint; an out-of-bounds read under analysis is
+    /// reported for every lane and reads 0.0.
     #[track_caller]
-    pub fn sld_vec<const K: usize>(&mut self, idx: &VU, mask: LaneMask) -> [VF; K] {
+    pub fn sld_vec<const K: usize>(&mut self, word: u32) -> [f32; K] {
         let site = SiteId::caller();
         self.res.tick(1);
-        let eff = self.shared_safe_mask(idx, mask, K as u32);
-        let (v, passes) = self.res.shared.load_vec::<K>(idx, eff);
+        let idx = VU::splat(word);
+        let eff = self.shared_safe_mask(&idx, LaneMask::ALL, K as u32);
+        let (v, passes) = if eff.is_empty() {
+            ([0.0; K], 0)
+        } else {
+            (self.res.shared.load_vec::<K>(word), 1)
+        };
         self.res.stats.smem_accesses += 1;
         self.res.stats.smem_passes += passes;
-        self.record_shared(site, idx, mask, eff, passes, K as u32, false);
-        self.sym_words(site, AccessClass::SharedLoad, idx, eff, passes, false);
-        self.shared_faulted(idx, eff, K as u32);
+        self.record_shared(site, &idx, LaneMask::ALL, eff, passes, K as u32, false);
+        self.sym_words(site, AccessClass::SharedLoad, &idx, eff, passes, false);
+        self.shared_faulted(&idx, eff, K as u32);
         v
     }
 
@@ -1040,11 +1031,24 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         self.shared_faulted(idx, eff, 1);
     }
 
+    // The four hooks below run on every shared access. Each inlines down to
+    // its plain-mode early return; its body sits in a cold function beside
+    // it.
+
     /// SRAM-upset hook: after a warp shared access, a drawn fault flips one
     /// bit of one word the access just touched. The corruption lands in the
     /// arena (not the in-flight value), so it is observed by whichever
     /// access reads that word next — the persistence real SRAM upsets have.
+    #[inline(always)]
     fn shared_faulted(&mut self, idx: &VU, eff: LaneMask, k: u32) {
+        if self.res.faults.is_some() {
+            self.shared_fault_draw(idx, eff, k);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn shared_fault_draw(&mut self, idx: &VU, eff: LaneMask, k: u32) {
         let Some(c) = self
             .res
             .faults
@@ -1062,10 +1066,17 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// `mask` unchanged in plain mode; under analysis, active lanes whose
     /// `K`-word footprint exceeds the shared arena are stripped (reported by
     /// [`WarpCtx::record_shared`] as OOB hazards instead of panicking).
+    #[inline(always)]
     fn shared_safe_mask(&self, idx: &VU, mask: LaneMask, k: u32) -> LaneMask {
         if self.res.analysis.is_none() {
             return mask;
         }
+        self.shared_in_arena(idx, mask, k)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn shared_in_arena(&self, idx: &VU, mask: LaneMask, k: u32) -> LaneMask {
         let words = self.res.shared.words() as u64;
         LaneMask::from_fn(|l| mask.get(l) && idx.lane(l) as u64 + k as u64 <= words)
     }
@@ -1073,7 +1084,26 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// Feed one shared access (its pass count and per-word thread footprint)
     /// to the analyzer. No-op in plain mode.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn record_shared(
+        &mut self,
+        site: SiteId,
+        idx: &VU,
+        mask: LaneMask,
+        safe: LaneMask,
+        passes: u64,
+        k: u32,
+        is_store: bool,
+    ) {
+        if self.res.analysis.is_some() {
+            self.record_shared_analyzed(site, idx, mask, safe, passes, k, is_store);
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    #[cold]
+    #[inline(never)]
+    fn record_shared_analyzed(
         &mut self,
         site: SiteId,
         idx: &VU,
@@ -1100,6 +1130,56 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
             mask.count() as u64,
             (mask.count() - safe.count()) as u64,
             &footprint,
+        );
+    }
+
+    /// Feed one shared-memory request's word indices to the symbolic
+    /// collector (phantom mode only): under the bank model, or, for a
+    /// vectorized load (`banked` false), whose pass count is a segment
+    /// property, classified and hashed with no closed-form obligation.
+    #[inline(always)]
+    fn sym_words(
+        &mut self,
+        site: SiteId,
+        class: AccessClass,
+        idx: &VU,
+        mask: LaneMask,
+        measured: u64,
+        banked: bool,
+    ) {
+        if self.res.sym.is_some() {
+            self.sym_words_recorded(site, class, idx, mask, measured, banked);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn sym_words_recorded(
+        &mut self,
+        site: SiteId,
+        class: AccessClass,
+        idx: &VU,
+        mask: LaneMask,
+        measured: u64,
+        banked: bool,
+    ) {
+        let banks = self.res.dev.smem_banks as u32;
+        let Some(s) = self.res.sym.as_deref_mut() else {
+            return;
+        };
+        let model = if banked {
+            PredictModel::Banks { banks }
+        } else {
+            PredictModel::Measured
+        };
+        s.record(
+            site,
+            class,
+            &idx.0.map(u64::from),
+            mask,
+            measured,
+            model,
+            false,
         );
     }
 

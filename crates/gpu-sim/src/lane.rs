@@ -329,6 +329,38 @@ impl LaneVec<f32> {
             }
         }
     }
+
+    /// A column of lane-wise fused multiply-adds from `self`:
+    /// `rows[r] = self * ws[r] + rows[r]` for `r` ascending, each rounded
+    /// once per lane exactly as [`f32::mul_add`] — the bits of `rows.len()`
+    /// [`VF::mul_add`] calls with splatted scalars, in one host call on the
+    /// host's FMA unit when it has one and on [`VF::mul_add_col_scalar`]
+    /// otherwise.
+    #[inline]
+    #[allow(unsafe_code)]
+    pub fn mul_add_col(&self, rows: &mut [VF], ws: &[f32]) {
+        assert_eq!(rows.len(), ws.len(), "one scalar per column row");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: `mul_add_col_fma` needs only the `fma` target feature,
+            // and `is_x86_feature_detected!("fma")` just confirmed this CPU
+            // has it.
+            return unsafe { mul_add_col_fma(self, rows, ws) };
+        }
+        self.mul_add_col_scalar(rows, ws);
+    }
+
+    /// The portable path of [`VF::mul_add_col`], public for the same reason
+    /// as [`VF::mul_add_scalar`]. Always inlined, so that inside
+    /// `mul_add_col_fma` it compiles with the `fma` feature.
+    #[inline(always)]
+    pub fn mul_add_col_scalar(&self, rows: &mut [VF], ws: &[f32]) {
+        for (row, &w) in rows.iter_mut().zip(ws) {
+            for (a, &v) in row.0.iter_mut().zip(&self.0) {
+                *a = v.mul_add(w, *a);
+            }
+        }
+    }
 }
 
 /// [`VF::mul_add_scalar`] compiled with the `fma` target feature, so each
@@ -356,6 +388,19 @@ unsafe fn mul_add_fma(a: &VF, b: &VF, c: &VF) -> VF {
 #[allow(unsafe_code)]
 unsafe fn mul_add_row_fma(acc: &mut VF, xs: &[VF], ws: &[f32]) {
     acc.mul_add_row_scalar(xs, ws);
+}
+
+/// [`VF::mul_add_col_scalar`] compiled with the `fma` target feature, as
+/// [`mul_add_fma`] is for one FMA.
+///
+/// # Safety
+///
+/// The running CPU must support the `fma` target feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(unsafe_code)]
+unsafe fn mul_add_col_fma(x: &VF, rows: &mut [VF], ws: &[f32]) {
+    x.mul_add_col_scalar(rows, ws);
 }
 
 macro_rules! lane_binop {

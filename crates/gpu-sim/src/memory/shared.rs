@@ -5,12 +5,20 @@
 //! lanes touching the same bank read the *same* word — the broadcast case);
 //! otherwise the access is replayed once per additional word mapped to the
 //! most-contended bank.
+//!
+//! Most warp accesses of the kernels are *affine*: the active lanes hold
+//! `base + stride·lane`, a warp-uniform word (stride 0) or a lane run of
+//! consecutive words (stride 1, no hole in the mask) above all. Their pass
+//! count is a closed form of the stride and the mask ([`passes_from_form`],
+//! which the oracle's predictions use too), and a uniform word or a lane
+//! run moves with one bounds check and one copy. Every other request takes
+//! the general count ([`SharedMem::general_passes`]) and the per-lane path.
 
 use crate::lane::{LaneMask, LaneVec, VF, VU, WARP};
+use crate::memory::coalescer::LANE_BIT;
 
 /// Call `f` on each active lane of `mask`, ascending: a plain loop over
-/// all 32 lanes when every lane is active (how kernels issue nearly every
-/// shared access), the mask's set bits otherwise.
+/// all 32 lanes when every lane is active, the mask's set bits otherwise.
 #[inline]
 fn for_each_active(mask: LaneMask, f: impl FnMut(usize)) {
     if mask.is_full() {
@@ -20,13 +28,178 @@ fn for_each_active(mask: LaneMask, f: impl FnMut(usize)) {
     }
 }
 
-/// One bit per bank the active lanes of `mask` touch, where `bank` maps a
-/// word to its bank (below 64). Branch-free over all 32 lanes.
+/// Most distinct words in one bank among the lanes `lanes`, whose banks are
+/// `banks`: their `bank << 32 | word` keys sorted, then the longest run of
+/// distinct words within one bank (equal words broadcast). A bank index
+/// never exceeds its word, so it fits in 32 bits. When the lanes share one
+/// bank of a power-of-two count (`row_shift` is its log), their words
+/// differ by whole rows of banks, and rows less than 64 apart are counted
+/// in one bitmap instead.
+fn most_words_in_a_bank(
+    idx: &[u32; WARP],
+    banks: &[u32; WARP],
+    lanes: u32,
+    row_shift: Option<u32>,
+) -> u32 {
+    let mut keys = [0u64; WARP];
+    let (mut n, mut lo, mut hi) = (0, u32::MAX, 0);
+    let mut rest = lanes;
+    while rest != 0 {
+        let l = rest.trailing_zeros() as usize;
+        keys[n] = u64::from(banks[l]) << 32 | u64::from(idx[l]);
+        (lo, hi) = (lo.min(idx[l]), hi.max(idx[l]));
+        n += 1;
+        rest &= rest - 1;
+    }
+    let keys = &mut keys[..n];
+    if let Some(shift) = row_shift.filter(|&s| (hi - lo) >> s < 64) {
+        let rows = keys
+            .iter()
+            .fold(0u64, |acc, &k| acc | 1 << ((k as u32 - lo) >> shift));
+        return rows.count_ones();
+    }
+    keys.sort_unstable();
+    let (mut run, mut most) = (1, 1);
+    for pair in keys.windows(2) {
+        if pair[1] == pair[0] {
+            continue;
+        }
+        if pair[1] >> 32 == pair[0] >> 32 {
+            run += 1;
+            most = most.max(run);
+        } else {
+            run = 1;
+        }
+    }
+    most
+}
+
+/// The lane stride of a request whose active lanes hold `base + stride·l`
+/// for one integer `base`: 0 for a single active lane or a warp-uniform
+/// word, `None` for any other shape and for an empty mask. The line through
+/// the first two active lanes is checked at the last active lane (it is
+/// monotone, so it stays within `u32` over the active lanes iff it does
+/// there, and that lane must hold it) and then at every lane in one
+/// branch-free pass of wrapping `u32` arithmetic, which is exact once the
+/// range holds.
 #[inline]
-fn bank_bitmap(idx: &VU, mask: LaneMask, bank: impl Fn(u32) -> usize) -> u64 {
-    (0..WARP).fold(0, |acc, l| {
-        acc | (((mask.0 >> l) & 1) as u64) << bank(idx.lane(l))
-    })
+fn word_stride(idx: &VU, mask: LaneMask) -> Option<i64> {
+    let m = mask.0;
+    if m == 0 {
+        return None;
+    }
+    let l0 = m.trailing_zeros();
+    let v0 = idx.0[l0 as usize];
+    let rest = m & (m - 1);
+    if rest == 0 {
+        return Some(0);
+    }
+    let l1 = rest.trailing_zeros();
+    let (dv, dl) = (
+        i64::from(idx.0[l1 as usize]) - i64::from(v0),
+        i64::from(l1 - l0),
+    );
+    // Neighbouring first lanes, the common case, need no division.
+    let stride = if dl == 1 {
+        dv
+    } else if dv % dl == 0 {
+        dv / dl
+    } else {
+        return None;
+    };
+    // The last active lane must lie on the line, in range: most other
+    // shapes end here, before the pass over every lane.
+    let top = 31 - m.leading_zeros();
+    let end = i64::from(v0) + stride * i64::from(top - l0);
+    if !(0..=i64::from(u32::MAX)).contains(&end) || i64::from(idx.0[top as usize]) != end {
+        return None;
+    }
+    let step = stride as u32;
+    let mut want = v0.wrapping_sub(step.wrapping_mul(l0));
+    let mut off = 0;
+    for (&v, &bit) in idx.0.iter().zip(&LANE_BIT) {
+        let active = if m & bit != 0 { u32::MAX } else { 0 };
+        off |= (v ^ want) & active;
+        want = want.wrapping_add(step);
+    }
+    (off == 0).then_some(stride)
+}
+
+/// The lane run `(first lane, lanes)` of a stride-1 request whose mask has
+/// no hole, `None` otherwise.
+#[inline]
+fn run_lanes(stride: Option<i64>, mask: LaneMask) -> Option<(usize, usize)> {
+    if stride != Some(1) {
+        return None;
+    }
+    let lo = mask.0.trailing_zeros();
+    let tail = mask.0 >> lo;
+    (tail & tail.wrapping_add(1) == 0).then_some((lo as usize, tail.count_ones() as usize))
+}
+
+/// Lanes `0, p, 2p, …` of a warp, for each `p` in `1..32`.
+const LANE_CLASS: [u32; WARP] = {
+    let mut class = [0u32; WARP];
+    let mut p = 1;
+    while p < WARP {
+        let mut l = 0;
+        while l < WARP {
+            class[p] |= 1 << l;
+            l += p;
+        }
+        p += 1;
+    }
+    class
+};
+
+/// Closed-form pass count from affine coefficients: max distinct words per
+/// bank over `{base + stride·l | l ∈ mask}`, equal to
+/// [`SharedMem::general_passes`] for any bank count. A zero stride is one
+/// word (one pass). Any other stride gives every lane its own word, and
+/// lanes `l`, `l'` share a bank exactly when `stride·(l − l')` is a
+/// multiple of `banks`, that is when `l − l'` is a multiple of
+/// `p = banks / gcd(stride, banks)`: the count is the most active lanes in
+/// one class of lanes mod `p`, whatever `base` is. At least 1. For a
+/// power-of-two bank count the gcd is a power of two too, so `p` is a
+/// shift. The bank model's affine fast path and the oracle's shared-memory
+/// prediction ([`crate::sym`]) both call it.
+pub(crate) fn passes_from_form(stride: i64, mask: LaneMask, banks: u32) -> u64 {
+    if stride == 0 {
+        return 1;
+    }
+    let p = if banks.is_power_of_two() {
+        let log_b = banks.trailing_zeros();
+        (banks >> stride.trailing_zeros().min(log_b)) as usize
+    } else {
+        let b = u64::from(banks);
+        let (mut x, mut y) = (stride.rem_euclid(b as i64) as u64, b);
+        while x != 0 {
+            (x, y) = (y % x, x);
+        }
+        (b / y) as usize
+    };
+    if p >= WARP {
+        return 1;
+    }
+    (0..p)
+        .map(|c| u64::from((mask.0 & LANE_CLASS[p] << c).count_ones()))
+        .max()
+        .unwrap_or(0)
+        .max(1)
+}
+
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn load_oob(i: usize, len: usize) -> ! {
+    panic!("shared load OOB: {i} >= {len}")
+}
+
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn store_oob(i: usize, len: usize) -> ! {
+    panic!("shared store OOB: {i} >= {len}")
 }
 
 /// A block's shared-memory arena (f32 words).
@@ -58,18 +231,6 @@ impl SharedMem {
         self.data.len()
     }
 
-    /// The bank holding `word`: a mask for a power-of-two bank count, the
-    /// same remainder otherwise.
-    #[inline]
-    fn bank(&self, word: u32) -> usize {
-        let w = word as usize;
-        if self.banks.is_power_of_two() {
-            w & (self.banks - 1)
-        } else {
-            w % self.banks
-        }
-    }
-
     /// Debug check that the pass count is insensitive to inactive-lane
     /// indices: recompute with inactive lanes poisoned and require the same
     /// result. Guards the invariant the analyzer's OOB pass relies on — a
@@ -90,148 +251,113 @@ impl SharedMem {
         );
     }
 
+    /// The lane stride of an affine request (see [`word_stride`]) and the
+    /// request's pass count: the closed form for an affine request, the
+    /// general count for any other.
+    #[inline]
+    fn classify(&self, idx: &VU, mask: LaneMask) -> (Option<i64>, u64) {
+        if mask.is_empty() {
+            return (None, 0);
+        }
+        let stride = word_stride(idx, mask);
+        let passes = match stride {
+            Some(s) => passes_from_form(s, mask, self.banks as u32),
+            None => self.general_passes(idx, mask),
+        };
+        (stride, passes)
+    }
+
     /// Number of serialized passes for a warp access at the given word
     /// indices: `max_b (distinct words in bank b)`, minimum 1 for any
-    /// active access.
+    /// active access. Affine requests take the closed form; the rest the
+    /// general count.
     pub fn passes(&self, idx: &VU, mask: LaneMask) -> u64 {
+        self.classify(idx, mask).1
+    }
+
+    /// The general pass count behind [`SharedMem::passes`], exact for every
+    /// access shape and bank count, and the reference the affine closed
+    /// form is checked against. The active lanes are grouped into 64 slots
+    /// by bank (a slot is one bank while the banks fit it, banks 64 apart
+    /// share one otherwise). A slot's lane count bounds the distinct words
+    /// of any bank in it, so only a slot with more lanes than the most
+    /// words found so far is looked into ([`most_words_in_a_bank`]).
+    pub fn general_passes(&self, idx: &VU, mask: LaneMask) -> u64 {
         if mask.is_empty() {
             return 0;
         }
-        // The two one-pass shapes are checked first, each by a branch-free
-        // sweep over all 32 lanes that masks out inactive ones: all active
-        // lanes on one word (broadcast), or every active lane in its own
-        // bank — one bit per lane in a bank bitmap while the banks fit a
-        // u64, so the banks are distinct exactly when the bitmap has one
-        // bit per active lane.
-        let first = idx.lane(mask.0.trailing_zeros() as usize);
-        let active = |lane: usize| (mask.0 >> lane) & 1;
-        let spread = (0..WARP).fold(0, |acc, l| {
-            acc | (idx.lane(l) ^ first) & active(l).wrapping_neg()
-        });
-        if spread == 0 {
-            return 1;
-        }
-        if self.banks <= 64 {
-            let seen = if self.banks.is_power_of_two() {
-                let m = self.banks - 1;
-                bank_bitmap(idx, mask, |w| w as usize & m)
-            } else {
-                bank_bitmap(idx, mask, |w| w as usize % self.banks)
-            };
-            if seen.count_ones() == mask.count() {
-                return 1;
+        let pow2 = self.banks.is_power_of_two();
+        let banks: [u32; WARP] = if pow2 {
+            let m = self.banks as u32 - 1;
+            idx.0.map(|w| w & m)
+        } else {
+            let b = self.banks as u32;
+            idx.0.map(|w| w % b)
+        };
+        let row_shift = (pow2 && self.banks <= 64).then(|| self.banks.trailing_zeros());
+        let mut slots = [0u32; 64];
+        for_each_active(mask, |l| slots[banks[l] as usize & 63] |= 1 << l);
+        let mut best = 1;
+        for &lanes in &slots[..self.banks.min(64)] {
+            if lanes.count_ones() > best {
+                best = best.max(most_words_in_a_bank(&idx.0, &banks, lanes, row_shift));
             }
         }
-        // Sorted `bank << 32 | word` keys put each bank's words side by
-        // side; the pass count is the most distinct words in one bank
-        // (equal words broadcast). A bank index never exceeds its word, so
-        // it fits in 32 bits.
-        let mut keys = [0u64; WARP];
-        let mut n = 0;
-        for lane in mask.lanes() {
-            let w = idx.lane(lane);
-            keys[n] = (self.bank(w) as u64) << 32 | w as u64;
-            n += 1;
-        }
-        let keys = &mut keys[..n];
-        keys.sort_unstable();
-        let (mut run, mut most) = (1, 1);
-        for pair in keys.windows(2) {
-            if pair[1] == pair[0] {
-                continue;
-            }
-            if pair[1] >> 32 == pair[0] >> 32 {
-                run += 1;
-                most = most.max(run);
-            } else {
-                run = 1;
-            }
-        }
-        most
+        u64::from(best)
     }
 
     /// Warp load. Returns the loaded lanes (inactive lanes read 0.0) and the
-    /// number of serialized passes.
+    /// number of serialized passes. A uniform word or a lane run is read
+    /// with one bounds check; either way an out-of-range access panics at
+    /// its lowest active out-of-range lane.
     pub fn load(&self, idx: &VU, mask: LaneMask) -> (VF, u64) {
-        let passes = self.passes(idx, mask);
+        let (stride, passes) = self.classify(idx, mask);
         #[cfg(debug_assertions)]
         self.assert_inactive_lanes_ignored(idx, mask, passes);
         let data = self.data.as_slice();
         let mut out = [0.0; WARP];
-        for_each_active(mask, |lane| {
-            let i = idx.lane(lane) as usize;
-            assert!(i < data.len(), "shared load OOB: {i} >= {}", data.len());
-            out[lane] = data[i];
-        });
+        if stride == Some(0) {
+            let i = idx.lane(mask.0.trailing_zeros() as usize) as usize;
+            let Some(&v) = data.get(i) else {
+                load_oob(i, data.len())
+            };
+            for (l, o) in out.iter_mut().enumerate() {
+                *o = if mask.0 & LANE_BIT[l] != 0 { v } else { 0.0 };
+            }
+        } else if let Some((lo, n)) = run_lanes(stride, mask) {
+            let start = idx.lane(lo) as usize;
+            let Some(words) = data.get(start..start + n) else {
+                load_oob(start.max(data.len()), data.len())
+            };
+            out[lo..lo + n].copy_from_slice(words);
+        } else {
+            for_each_active(mask, |lane| {
+                let i = idx.lane(lane) as usize;
+                let Some(&v) = data.get(i) else {
+                    load_oob(i, data.len())
+                };
+                out[lane] = v;
+            });
+        }
         (LaneVec(out), passes)
     }
 
-    /// Vectorized warp load (`LDS.128`): each active lane reads `K`
-    /// consecutive words starting at its index. Bank serialization is
-    /// computed over 16-byte segments — a warp-uniform (broadcast) vec4
-    /// read costs a single pass, which is how real GEMM kernels amortize
-    /// their shared-memory A-operand reads.
-    pub fn load_vec<const K: usize>(&self, idx: &VU, mask: LaneMask) -> ([VF; K], u64) {
+    /// Warp-uniform vectorized load (`LDS.64`/`LDS.128` with one index for
+    /// every lane, how GEMM kernels read their A operand): the `K`
+    /// consecutive words at `word`, the scalars every lane reads. One pass,
+    /// as every lane reads the same segment. Panics unless `K` is 1, 2 or 4,
+    /// `word` is `K`-aligned, and the words lie in the arena.
+    pub fn load_vec<const K: usize>(&self, word: u32) -> [f32; K] {
         assert!(
             K.is_power_of_two() && K <= 4,
             "LDS supports 1/2/4-word vectors"
         );
-        if mask.is_empty() {
-            return ([VF::splat(0.0); K], 0);
+        let i = word as usize;
+        assert!(i.is_multiple_of(K), "vector smem access must be aligned");
+        match self.data.get(i..i + K) {
+            Some(words) => words.try_into().expect("a K-word slice"),
+            None => panic!("shared vec load OOB"),
         }
-        let first = idx.lane(0);
-        if *idx == VU::splat(first) {
-            // Warp-uniform index (how GEMM kernels read their A operand):
-            // one segment, so one pass, and every active lane reads the
-            // same K words — the checks of the general path, made once.
-            assert!(
-                (first as usize).is_multiple_of(K),
-                "vector smem access must be aligned"
-            );
-            let i = first as usize;
-            let Some(words) = self.data.get(i..i + K) else {
-                panic!("shared vec load OOB")
-            };
-            let mut out = [VF::splat(0.0); K];
-            for (o, &w) in out.iter_mut().zip(words) {
-                *o = VF::splat(w);
-            }
-            if !mask.is_full() {
-                let zero = VF::splat(0.0);
-                out = out.map(|v| v.select(mask, &zero));
-            }
-            return (out, 1);
-        }
-        // Distinct 4-word segments per bank-group decide the pass count;
-        // a K-word access must be K-word aligned (as on hardware).
-        let mut segs = [0u32; WARP];
-        let mut n = 0;
-        for lane in mask.lanes() {
-            let base = idx.lane(lane);
-            assert!(
-                (base as usize).is_multiple_of(K),
-                "vector smem access must be aligned"
-            );
-            segs[n] = base / 4;
-            n += 1;
-        }
-        let segs = &mut segs[..n];
-        segs.sort_unstable();
-        let distinct = 1 + segs.windows(2).filter(|p| p[0] != p[1]).count();
-        // 16 B lanes: 8 segments move per 128 B pass.
-        let passes = (distinct as u64).div_ceil(8);
-        let out = std::array::from_fn(|k| {
-            VF::from_fn(|l| {
-                if mask.get(l) {
-                    let i = idx.lane(l) as usize + k;
-                    assert!(i < self.data.len(), "shared vec load OOB");
-                    self.data[i]
-                } else {
-                    0.0
-                }
-            })
-        });
-        (out, passes)
     }
 
     /// Fault-injection hook ([`crate::faults`]): flip one bit of word
@@ -247,20 +373,37 @@ impl SharedMem {
 
     /// Warp store. When two active lanes write the same word, the
     /// lower-numbered lane wins deterministically (hardware leaves it
-    /// undefined; a fixed rule keeps simulations reproducible).
+    /// undefined; a fixed rule keeps simulations reproducible). An
+    /// out-of-range store panics at its highest active out-of-range lane,
+    /// as the high-to-low per-lane loop meets it; a uniform word or a lane
+    /// run is checked once and written with one copy.
     pub fn store(&mut self, idx: &VU, val: &VF, mask: LaneMask) -> u64 {
-        let passes = self.passes(idx, mask);
+        let (stride, passes) = self.classify(idx, mask);
         #[cfg(debug_assertions)]
         self.assert_inactive_lanes_ignored(idx, mask, passes);
-        // Iterate high→low so the lowest active lane's value lands last.
-        for lane in (0..WARP).rev().filter(|&l| mask.get(l)) {
-            let i = idx.lane(lane) as usize;
-            assert!(
-                i < self.data.len(),
-                "shared store OOB: {i} >= {}",
-                self.data.len()
-            );
-            self.data[i] = val.lane(lane);
+        let len = self.data.len();
+        if stride == Some(0) {
+            let lo = mask.0.trailing_zeros() as usize;
+            let i = idx.lane(lo) as usize;
+            if i >= len {
+                store_oob(i, len);
+            }
+            self.data[i] = val.lane(lo);
+        } else if let Some((lo, n)) = run_lanes(stride, mask) {
+            let start = idx.lane(lo) as usize;
+            if start + n > len {
+                store_oob(start + n - 1, len);
+            }
+            self.data[start..start + n].copy_from_slice(&val.0[lo..lo + n]);
+        } else {
+            // Iterate high→low so the lowest active lane's value lands last.
+            for lane in (0..WARP).rev().filter(|&l| mask.get(l)) {
+                let i = idx.lane(lane) as usize;
+                if i >= len {
+                    store_oob(i, len);
+                }
+                self.data[i] = val.lane(lane);
+            }
         }
         passes
     }
@@ -357,8 +500,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "shared vec load OOB")]
     fn uniform_vec_load_past_the_arena_panics() {
-        // The warp-uniform path checks bounds once, with the same message.
-        let _ = smem(16).load_vec::<4>(&VU::splat(16), LaneMask::ALL);
+        let _ = smem(16).load_vec::<4>(16);
     }
 
     #[test]

@@ -82,6 +82,7 @@
 use crate::analysis::{AccessClass, SiteId};
 use crate::lane::{LaneMask, WARP};
 use crate::memory::coalescer::LANE_BIT;
+use crate::memory::shared::passes_from_form;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -161,9 +162,9 @@ pub enum PredictModel {
         /// Number of shared-memory banks.
         banks: u32,
     },
-    /// No closed form attempted (vectorized shared accesses, whose pass
-    /// count is a segment property); the site is still classified and
-    /// hashed, but excluded from mismatch accounting.
+    /// No closed form attempted (the vectorized shared load, whose pass
+    /// count is a segment property, not the bank model's); the site is
+    /// still classified and hashed, but excluded from mismatch accounting.
     Measured,
 }
 
@@ -293,50 +294,6 @@ fn sectors_from_form(base: i128, stride: i64, mask: LaneMask, sector_bytes: u64)
         }
     }
     count
-}
-
-/// Lanes `0, p, 2p, …` of a warp, for each `p` in `1..32`.
-const LANE_CLASS: [u32; WARP] = {
-    let mut class = [0u32; WARP];
-    let mut p = 1;
-    while p < WARP {
-        let mut l = 0;
-        while l < WARP {
-            class[p] |= 1 << l;
-            l += p;
-        }
-        p += 1;
-    }
-    class
-};
-
-/// Closed-form pass count from affine coefficients: max distinct words per
-/// bank over `{base + stride·l | l ∈ mask}`, mirroring
-/// [`crate::memory::SharedMem::passes`] exactly for any bank count. A zero
-/// stride is one word (one pass). Any other stride gives every lane its
-/// own word, and lanes `l`, `l'` share a bank exactly when
-/// `stride·(l − l')` is a multiple of `banks`, that is when `l − l'` is a
-/// multiple of `p = banks / gcd(stride, banks)`: the count is the most
-/// active lanes in one class of lanes mod `p`, whatever `base` is. At
-/// least 1.
-fn passes_from_form(stride: i64, mask: LaneMask, banks: u32) -> u64 {
-    if stride == 0 {
-        return 1;
-    }
-    let b = u64::from(banks);
-    let (mut x, mut y) = (stride.rem_euclid(b as i64) as u64, b);
-    while x != 0 {
-        (x, y) = (y % x, x);
-    }
-    let p = (b / y) as usize;
-    if p >= WARP {
-        return 1;
-    }
-    (0..p)
-        .map(|c| u64::from((mask.0 & LANE_CLASS[p] << c).count_ones()))
-        .max()
-        .unwrap_or(0)
-        .max(1)
 }
 
 /// Splitmix64 finalizer — the digest step of the stream hashes.
@@ -927,6 +884,7 @@ mod tests {
     #[test]
     fn closed_form_passes_match_shared_memory_model() {
         use crate::memory::SharedMem;
+        // Against the general count, which never takes the closed form.
         // Every bank count from 1 to 257 (more than 32 banks used to
         // overflow a 32-entry table), with named and random bases, strides
         // and masks.
@@ -958,7 +916,7 @@ mod tests {
             }
             for (base, stride, mask) in cases {
                 let idx = crate::lane::VU::from_fn(|l| (base as i64 + stride * l as i64) as u32);
-                let measured = smem.passes(&idx, mask).max(1);
+                let measured = smem.general_passes(&idx, mask).max(1);
                 let predicted = passes_from_form(stride, mask, banks);
                 assert_eq!(
                     predicted, measured,

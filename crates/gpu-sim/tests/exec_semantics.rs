@@ -17,15 +17,13 @@ fn sld_vec_broadcast_is_one_pass_and_correct() {
             let idx = w.lane_id();
             let val = idx.to_f32();
             w.sst(&idx, &val, LaneMask::first(8));
-            // vec4 broadcast from word 4
-            let vals = w.sld_vec::<4>(&VU::splat(4), LaneMask::ALL);
-            for (k, v) in vals.iter().enumerate() {
-                assert_eq!(v.lane(13), (4 + k) as f32);
-            }
+            // vec4 broadcast from word 4, as the scalars every lane holds
+            let vals = w.sld_vec::<4>(4);
+            assert_eq!(vals, [4.0, 5.0, 6.0, 7.0]);
             w.gst(
                 out,
                 &VU::from_fn(|l| l as u32),
-                &vals[0],
+                &VF::splat(vals[0]),
                 LaneMask::first(1),
             );
         });
@@ -41,7 +39,7 @@ fn sld_vec_rejects_misaligned_access() {
     let mut sim = GpuSim::new(DeviceConfig::test_tiny());
     sim.launch(&LaunchConfig::linear(1, 32).with_shared(16), |blk| {
         blk.each_warp(|w| {
-            let _ = w.sld_vec::<4>(&VU::splat(2), LaneMask::ALL);
+            let _ = w.sld_vec::<4>(2);
         });
     });
 }

@@ -15,6 +15,7 @@ use memconv_gpusim::{
     DeviceConfig, FaultKind, FaultPlan, GpuSim, KernelStats, LaunchConfig, LaunchError, SampleMode,
 };
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 // ---- reference algorithms -------------------------------------------------
 //
@@ -47,21 +48,6 @@ fn passes_oracle(idx: &VU, mask: LaneMask, banks: usize) -> u64 {
         .max()
         .unwrap_or(1)
         .max(1)
-}
-
-/// `LDS.128`-style passes from a `Vec` of distinct 16-byte segments.
-fn vec_passes_oracle(idx: &VU, mask: LaneMask) -> u64 {
-    if mask.is_empty() {
-        return 0;
-    }
-    let mut segs: Vec<u32> = Vec::new();
-    for lane in active(mask) {
-        let seg = idx.lane(lane) / 4;
-        if !segs.contains(&seg) {
-            segs.push(seg);
-        }
-    }
-    (segs.len() as u64).div_ceil(8).max(1)
 }
 
 /// Distinct sectors, ascending, from a growing `Vec` with a linear search.
@@ -355,6 +341,50 @@ fn load_vec_oracle<const K: usize>(data: &[f32], idx: &VU, mask: LaneMask) -> ([
     (out, passes)
 }
 
+/// The broadcast read's `K` scalars as the splatted registers the per-lane
+/// vector load returned, by bits.
+fn splat_bits<const K: usize>(v: [f32; K]) -> [VU; K] {
+    v.map(|x| VF::splat(x).to_bits())
+}
+
+/// The shared load lane by lane: ascending lanes, inactive lanes 0.0, the
+/// first out-of-bounds lane panics with its index.
+fn shared_load_oracle(data: &[f32], idx: &VU, mask: LaneMask) -> Result<VF, String> {
+    let mut out = VF::splat(0.0);
+    for l in active(mask) {
+        let i = idx.lane(l) as usize;
+        match data.get(i) {
+            Some(&v) => out.set_lane(l, v),
+            None => return Err(format!("shared load OOB: {i} >= {}", data.len())),
+        }
+    }
+    Ok(out)
+}
+
+/// The shared store lane by lane: descending lanes, so the lowest lane wins
+/// a repeated word, stopping at the first out-of-bounds lane met.
+fn shared_store_oracle(data: &mut [f32], idx: &VU, val: &VF, mask: LaneMask) -> Result<(), String> {
+    let len = data.len();
+    for l in (0..WARP).rev().filter(|&l| mask.get(l)) {
+        let i = idx.lane(l) as usize;
+        match data.get_mut(i) {
+            Some(slot) => *slot = val.lane(l),
+            None => return Err(format!("shared store OOB: {i} >= {len}")),
+        }
+    }
+    Ok(())
+}
+
+/// The text of a caught panic.
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast_ref::<&str>()
+            .map_or_else(String::new, |s| s.to_string()),
+    }
+}
+
 /// The block walk that tested every linear block id against the mode.
 fn filter_walk_oracle(mode: SampleMode, total: u64) -> Vec<u64> {
     let selects = |linear: u64| match mode {
@@ -610,18 +640,56 @@ fn arb_bank_count() -> impl Strategy<Value = usize> {
     any::<u64>().prop_map(|r| 1 + (r >> 1) as usize % if r % 2 == 0 { 64 } else { 257 })
 }
 
+/// The baseline kernels' shared-memory index shapes in an arena of
+/// `words` words (a power of two, at least 256), picked by `raw`: FFT's
+/// bit-reversed store of a row of 32 to `words / 2` points, its butterfly
+/// `k + j` (and `+ half`) indices for `half` 1 to 16, the GEMM kernel's
+/// transposed-B tile rows (`flat % BK` rows of `BN` words, `flat / BK`
+/// columns), and strides `2^k` up to 32.
+fn baseline_smem_shape(words: u32, raw: &[u32]) -> VU {
+    let bits = |x: usize, n: u32| (x.reverse_bits() >> (usize::BITS - n)) as u32;
+    match raw[0] % 4 {
+        0 => {
+            let log = 5 + raw[1] % (words.trailing_zeros() - 5);
+            let len = 1u32 << log;
+            let chunk = raw[2] % (len / WARP as u32);
+            let row = raw[3] % (words / len) * len;
+            VU::from_fn(|l| row + bits((chunk as usize * WARP + l) % len as usize, log))
+        }
+        1 => {
+            let half = 1u32 << (raw[1] % 5);
+            let hi = raw[2] % 2 * half;
+            let row = raw[3] % (words / 64) * 64;
+            VU::from_fn(|l| row + l as u32 / half * 2 * half + l as u32 % half + hi)
+        }
+        2 => {
+            let warp = raw[1] % 8;
+            VU::from_fn(|l| {
+                let flat = warp * WARP as u32 + l as u32;
+                words / 4 + flat % 8 * 32 + flat / 8
+            })
+        }
+        _ => {
+            let k = raw[1] % 6;
+            let base = raw[2] % (words - (31 << k));
+            VU::from_fn(|l| base + ((l as u32) << k))
+        }
+    }
+}
+
 /// Warp word indices for the shared-memory checks, below `words − 4`:
-/// warp-uniform, ascending or descending by a random stride below 41, or
-/// random.
+/// warp-uniform, ascending or descending by a random stride below 41,
+/// random, or one of the baseline kernels' shapes (below `words`).
 fn arb_smem_index(words: u32) -> impl Strategy<Value = VU> {
     prop::collection::vec(any::<u32>(), WARP + 1).prop_map(move |raw| {
         let top = words - 4;
         let (base, stride) = (raw[0] % top, raw[WARP] % 41);
-        match raw[WARP] / 41 % 4 {
+        match raw[WARP] / 41 % 5 {
             0 => VU::splat(base),
             1 => VU::from_fn(|l| (base + stride * l as u32) % top),
             2 => VU::from_fn(|l| (base + stride * (WARP - 1 - l) as u32) % top),
-            _ => VU::from_fn(|l| raw[l] % top),
+            3 => VU::from_fn(|l| raw[l] % top),
+            _ => baseline_smem_shape(words, &raw[1..]),
         }
     })
 }
@@ -640,14 +708,16 @@ fn arb_edge_mask() -> impl Strategy<Value = LaneMask> {
 }
 
 /// Shared-memory word indices below 4096: random words (many conflicts and
-/// broadcasts), strided rows (the kernels' shape), or one broadcast word.
+/// broadcasts), strided rows (the kernels' shape), one broadcast word, or
+/// one of the baseline kernels' shapes.
 fn arb_words() -> impl Strategy<Value = VU> {
     prop::collection::vec(0u32..4096, WARP + 2).prop_map(|v| {
         let (base, stride) = (v[WARP] % 2048, v[WARP + 1] % 40);
-        match v[WARP + 1] / 40 % 3 {
+        match v[WARP + 1] / 40 % 4 {
             0 => VU::from_fn(|l| v[l] % (64 + base)),
             1 => VU::from_fn(|l| (base + stride * l as u32) % 4096),
-            _ => VU::splat(base),
+            2 => VU::splat(base),
+            _ => baseline_smem_shape(4096, &v[..4]),
         }
     })
 }
@@ -868,16 +938,21 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The stack-array bank model counts the passes of the per-bank-`Vec`
-    /// model, on every access shape, mask and bank count.
+    /// The bank model — the affine closed form, and the general count that
+    /// every other request takes — counts the passes of the per-bank-`Vec`
+    /// model, on every access shape, mask and bank count; the general count
+    /// alone does too, so it checks every fast path.
     #[test]
     fn smem_passes_match_vec_oracle(idx in arb_words(), mask in arb_edge_mask(), banks in arb_banks()) {
         let smem = SharedMem::new(4096, banks);
-        prop_assert_eq!(smem.passes(&idx, mask), passes_oracle(&idx, mask, banks));
+        let want = passes_oracle(&idx, mask, banks);
+        prop_assert_eq!(smem.passes(&idx, mask), want);
+        prop_assert_eq!(smem.general_passes(&idx, mask), want);
     }
 
-    /// Loads and stores charge the same passes, and vector loads the
-    /// segment count of the `Vec` model, at every legal width.
+    /// Loads and stores charge the same passes, and a store leaves the
+    /// arena the per-lane store leaves (the lowest lane wins a repeated
+    /// word).
     #[test]
     fn smem_access_passes_match_vec_oracle(idx in arb_words(), mask in arb_edge_mask(),
                                            banks in arb_banks(), vals in arb_lanes_f32()) {
@@ -885,12 +960,13 @@ proptest! {
         let want = passes_oracle(&idx, mask, banks);
         prop_assert_eq!(smem.load(&idx, mask).1, want);
         prop_assert_eq!(smem.store(&idx, &vals, mask), want);
-        let aligned = |k: u32| idx.map(|w| w & !(k - 1));
-        let v4 = aligned(4);
-        prop_assert_eq!(smem.load_vec::<4>(&v4, mask).1, vec_passes_oracle(&v4, mask));
-        let v2 = aligned(2);
-        prop_assert_eq!(smem.load_vec::<2>(&v2, mask).1, vec_passes_oracle(&v2, mask));
-        prop_assert_eq!(smem.load_vec::<1>(&idx, mask).1, vec_passes_oracle(&idx, mask));
+        let mut data = vec![0.0f32; 4096];
+        shared_store_oracle(&mut data, &idx, &vals, mask).unwrap();
+        for base in (0..4096).step_by(WARP) {
+            let got = smem.load(&VU::from_fn(|l| (base + l) as u32), LaneMask::ALL).0;
+            let want = VF::from_fn(|l| data[base + l]);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
     }
 
     /// The buffer coalescer and its `Vec` wrapper return the `Vec`
@@ -966,9 +1042,11 @@ proptest! {
     }
 
     /// Pass counts and loaded values (by bits) of `passes`, `load` and
-    /// `load_vec` match the previous bank model and gathers for every bank
-    /// count from 1 to 257 and uniform, ascending, descending and random
-    /// indices under random masks.
+    /// the broadcast `load_vec` at every width, and the arena a `store`
+    /// leaves, match the previous bank model, gathers and per-lane store
+    /// for every bank count from 1 to 257 and uniform, ascending,
+    /// descending, random and the baseline kernels' indices under random
+    /// masks.
     #[test]
     fn smem_fast_paths_match_previous_model(banks in arb_bank_count(), idx in arb_smem_index(1024),
                                             mask in arb_edge_mask(), fill in arb_lanes_f32()) {
@@ -987,19 +1065,60 @@ proptest! {
         let (v, p) = smem.load(&idx, mask);
         prop_assert_eq!(p, keyed_passes_oracle(&idx, mask, banks));
         prop_assert_eq!(bits(&v), bits(&load_oracle(&data, &idx, mask)));
-        let aligned = |k: u32| idx.map(|w| w & !(k - 1));
-        let (v4, p4) = smem.load_vec::<4>(&aligned(4), mask);
-        let (w4, q4) = load_vec_oracle::<4>(&data, &aligned(4), mask);
-        prop_assert_eq!(p4, q4);
-        prop_assert_eq!(v4.map(|v| bits(&v)), w4.map(|v| bits(&v)));
-        let (v2, p2) = smem.load_vec::<2>(&aligned(2), mask);
-        let (w2, q2) = load_vec_oracle::<2>(&data, &aligned(2), mask);
-        prop_assert_eq!(p2, q2);
-        prop_assert_eq!(v2.map(|v| bits(&v)), w2.map(|v| bits(&v)));
-        let (v1, p1) = smem.load_vec::<1>(&idx, mask);
-        let (w1, q1) = load_vec_oracle::<1>(&data, &idx, mask);
-        prop_assert_eq!(p1, q1);
-        prop_assert_eq!(v1.map(|v| bits(&v)), w1.map(|v| bits(&v)));
+        // The broadcast read: every lane on one aligned word, all active,
+        // as the per-lane vector load's registers and its one pass.
+        let word = |k: u32| idx.lane(0) & !(k - 1);
+        let (w4, q4) = load_vec_oracle::<4>(&data, &VU::splat(word(4)), LaneMask::ALL);
+        prop_assert_eq!((splat_bits(smem.load_vec::<4>(word(4))), q4), (w4.map(|v| bits(&v)), 1));
+        let (w2, q2) = load_vec_oracle::<2>(&data, &VU::splat(word(2)), LaneMask::ALL);
+        prop_assert_eq!((splat_bits(smem.load_vec::<2>(word(2))), q2), (w2.map(|v| bits(&v)), 1));
+        let (w1, q1) = load_vec_oracle::<1>(&data, &VU::splat(word(1)), LaneMask::ALL);
+        prop_assert_eq!((splat_bits(smem.load_vec::<1>(word(1))), q1), (w1.map(|v| bits(&v)), 1));
+        // Stores, repeated words included, leave the per-lane store's arena.
+        let vals = VF::from_fn(|l| fill.lane(WARP - 1 - l));
+        prop_assert_eq!(smem.store(&idx, &vals, mask), keyed_passes_oracle(&idx, mask, banks));
+        shared_store_oracle(&mut data, &idx, &vals, mask).unwrap();
+        for base in (0..WORDS).step_by(WARP) {
+            let got = smem.load(&VU::from_fn(|l| base + l as u32), LaneMask::ALL).0;
+            let want = VF::from_fn(|l| data[base as usize + l]);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    /// Shared loads and stores of every warp shape — lane runs ending at the
+    /// arena end, past it or at `u32::MAX`, runs with a lane off by one or
+    /// a hole in the mask, wrapping sequences, scatters — read the per-lane
+    /// gather's values, leave the per-lane store's arena, and panic with
+    /// its text: at the lowest out-of-range lane of a load and the highest
+    /// of a store.
+    #[test]
+    fn smem_out_of_bounds_panics_match_per_lane_oracles(words in 1u32..300, banks in arb_bank_count(),
+                                                         load in any::<u64>(), store in any::<u64>(),
+                                                         fill in arb_lanes_f32()) {
+        let mut smem = SharedMem::new(words as usize, banks);
+        let mut data = vec![0.0f32; words as usize];
+        for base in (0..words).step_by(WARP) {
+            let idx = VU::from_fn(|l| base + l as u32);
+            let mask = idx.lt_scalar(words);
+            smem.store(&idx, &fill, mask);
+            shared_store_oracle(&mut data, &idx, &fill, mask).unwrap();
+        }
+        let (ld, st) = (warp_shape(load, words), warp_shape(store, words));
+        let got = catch_unwind(AssertUnwindSafe(|| smem.load(&ld.idx, ld.mask).0.to_bits()));
+        let want = shared_load_oracle(&data, &ld.idx, ld.mask).map(|v| v.to_bits());
+        prop_assert_eq!(got.map_err(panic_text), want);
+        let val = VF::from_fn(|l| -(l as f32) - 0.5);
+        let got = catch_unwind(AssertUnwindSafe(|| smem.store(&st.idx, &val, st.mask)));
+        let want = shared_store_oracle(&mut data, &st.idx, &val, st.mask);
+        prop_assert_eq!(got.map(|_| ()).map_err(panic_text), want.clone());
+        if want.is_ok() {
+            let arena = (0..words).step_by(WARP).flat_map(|base| {
+                let idx = VU::from_fn(|l| base + l as u32);
+                smem.load(&idx, idx.lt_scalar(words)).0.to_bits().0
+            });
+            let arena: Vec<u32> = arena.take(words as usize).collect();
+            prop_assert_eq!(arena, data.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        }
     }
 
     /// `SampleMode::selected` yields exactly the blocks the per-id filter
@@ -1277,8 +1396,9 @@ proptest! {
 
 // ---- row primitives -------------------------------------------------------
 //
-// `WarpCtx::fma_row` and `WarpCtx::const_load_row` against the sequences
-// of single-instruction calls the kernels issued before, kept as oracles.
+// `WarpCtx::fma_row`, `WarpCtx::fma_col` and `WarpCtx::const_load_row`
+// against the sequences of single-instruction calls the kernels issued
+// before, kept as oracles.
 
 /// Scalar weights from one random lane vector: every value class of
 /// [`arb_lanes_f32`].
@@ -1346,6 +1466,45 @@ proptest! {
                                 ("dispatch", dispatched), ("portable", portable)] {
                 prop_assert!(same_f32(got.lane(l), want), "{} path, lane {}: {:?} vs {:?}",
                              path, l, got.lane(l), want);
+            }
+        }
+    }
+
+    /// A column FMA gives the counts and, on every lane, the bits of one
+    /// `fma(x, splat(ws[r]), rows[r])` per row, for 0 to 8 rows of every
+    /// value class (rows whose accumulator cancels the product included);
+    /// the dispatched and portable bodies of `VF::mul_add_col` agree with
+    /// a lane-wise `f32::mul_add` per row.
+    #[test]
+    fn fma_col_matches_single_fmas(rows in prop::collection::vec(arb_lanes_f32(), 0..9),
+                                   ws in arb_weights(), x in arb_lanes_f32(),
+                                   cancel in any::<u32>()) {
+        let ws = &ws[..rows.len()];
+        let rows: Vec<VF> = rows.iter().zip(ws).map(|(r, &wt)| VF::from_fn(|l| {
+            if cancel & (1 << l) != 0 { -(x.lane(l) * wt) } else { r.lane(l) }
+        })).collect();
+        let (col_stats, col) = one_warp(&[], false, |w, _| {
+            let mut rs = rows.clone();
+            w.fma_col(&mut rs, &x, ws);
+            rs
+        });
+        let (one_stats, one) = one_warp(&[], false, |w, _| {
+            rows.iter().zip(ws).map(|(&r, &wt)| w.fma(x, VF::splat(wt), r)).collect::<Vec<_>>()
+        });
+        let (col_stats, one_stats) = (col_stats.unwrap(), one_stats.unwrap());
+        prop_assert_eq!(col_stats.fma_instrs, rows.len() as u64);
+        prop_assert_eq!(&col_stats, &one_stats);
+        let (mut dispatched, mut portable) = (rows.clone(), rows.clone());
+        x.mul_add_col(&mut dispatched, ws);
+        x.mul_add_col_scalar(&mut portable, ws);
+        for (r, &wt) in ws.iter().enumerate() {
+            for l in 0..WARP {
+                let want = x.lane(l).mul_add(wt, rows[r].lane(l));
+                for (path, got) in [("warp", &col), ("single", &one),
+                                    ("dispatch", &dispatched), ("portable", &portable)] {
+                    prop_assert!(same_f32(got[r].lane(l), want), "{} path, row {}, lane {}: {:?} vs {:?}",
+                                 path, r, l, got[r].lane(l), want);
+                }
             }
         }
     }

@@ -9,9 +9,11 @@
 # (scripts/profile/symbolize.py, via addr2line). The sampler takes one
 # sample per 250 us of the process's CPU time, from <start_s> seconds of
 # CPU time until <seconds> (the end of the timed passes). <start_s>
-# defaults to 1, past the first set-up; 0 includes it, and
-# `python3 scripts/profile/symbolize.py <exe> <samples> --within
-# graph::setup` then keeps the set-up's samples alone.
+# defaults to 1, past the first set-up. A <start_s> of 0 samples the whole
+# process until it exits, so it also sees the set-ups timed after the
+# passes; for `graph` and `serve` the script then prints the tables of
+# the set-ups' samples alone too (`symbolize.py ... --within
+# <workload>::setup`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,9 +31,19 @@ cc -O2 -shared -fPIC -o "$out/sampler.so" scripts/profile/sampler.c
 
 exe="$out/release/memconv-perfbench"
 samples="$out/$workload-$seed.samples"
-MEMCONV_THREADS=1 PROFILE_OUT="$samples" PROFILE_START_S="$start" PROFILE_STOP_S="$seconds" \
+# From a start of 0, sample until the process exits.
+whole=$(awk -v s="$start" 'BEGIN { print (s + 0 == 0) ? 1 : 0 }')
+stop=$seconds
+if [ "$whole" = 1 ]; then
+    stop=1e9
+fi
+MEMCONV_THREADS=1 PROFILE_OUT="$samples" PROFILE_START_S="$start" PROFILE_STOP_S="$stop" \
     LD_PRELOAD="$PWD/$out/sampler.so" \
     "$exe" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
     >"$out/$workload-$seed.stdout" 2>/dev/null
 tail -n 1 "$out/$workload-$seed.stdout"
 python3 scripts/profile/symbolize.py "$exe" "$samples"
+if [ "$whole" = 1 ] && { [ "$workload" = graph ] || [ "$workload" = serve ]; }; then
+    echo
+    python3 scripts/profile/symbolize.py "$exe" "$samples" --within "$workload::setup"
+fi
