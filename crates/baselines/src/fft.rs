@@ -329,9 +329,7 @@ impl ConvNchwAlgorithm for FftConv {
             let blocks = total.div_ceil(256);
             let cfg = LaunchConfig::linear(blocks, 256)
                 .with_sample(crate::aux_sample(self.sample, blocks));
-            // `p` is a power of two: a padded plane's row and column are
-            // bit fields of the element index.
-            let (src_plane, log_p, col) = (sh * sw, p.trailing_zeros(), p - 1);
+            let src_plane = sh * sw;
             sim.launch(&cfg, |blk| {
                 let bx = blk.block_idx.0;
                 blk.each_warp(|w| {
@@ -339,12 +337,12 @@ impl ConvNchwAlgorithm for FftConv {
                     let mask = tid.lt_scalar(total);
                     let inb = LaneMask::from_fn(|l| {
                         let e = tid.lane(l) as usize;
-                        let (y, x) = ((e >> log_p) & col, e & col);
+                        let (y, x) = (e % pp / p, e % pp % p);
                         y < sh && x < sw && e < span
                     });
                     let gidx = VU::from_fn(|l| {
                         let e = tid.lane(l) as usize % span;
-                        let (pl, y, x) = (e >> (2 * log_p), (e >> log_p) & col, e & col);
+                        let (pl, y, x) = (e / pp, e % pp / p, e % pp % p);
                         (pl * src_plane + y.min(sh - 1) * sw + x.min(sw - 1)) as u32
                     });
                     let v = w.gld(src, &gidx, inb & mask);
@@ -475,24 +473,11 @@ impl ConvNchwAlgorithm for FftConv {
                 blk.each_warp(|w| {
                     let tid = VU::from_fn(|l| bx * 256 + (w.warp_id * WARP + l) as u32);
                     let mask = tid.lt_scalar(total);
-                    // Lane `l` crops element `(tid₀ + l) mod elems`: the
-                    // first lane's (plane, row, column), then a step per
-                    // lane with its carries.
-                    let e0 = tid.lane(0) as usize % elems;
-                    let (mut plane, mut y, mut x) = (e0 / out_plane, e0 % out_plane / ow, e0 % ow);
-                    let gidx = VU::from_fn(|_| {
-                        let i = (plane * pp + y * p + x) as u32;
-                        x += 1;
-                        if x == ow {
-                            (x, y) = (0, y + 1);
-                            if y == oh {
-                                (y, plane) = (0, plane + 1);
-                                if plane == planes {
-                                    plane = 0;
-                                }
-                            }
-                        }
-                        i
+                    let gidx = VU::from_fn(|l| {
+                        let e = tid.lane(l) as usize % elems;
+                        let plane = e / out_plane;
+                        let (y, x) = (e % out_plane / ow, e % ow);
+                        (plane * pp + y * p + x) as u32
                     });
                     let v = w.gld(out_re, &gidx, mask);
                     w.count_fp(4);

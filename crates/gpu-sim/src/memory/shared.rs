@@ -31,33 +31,18 @@ fn for_each_active(mask: LaneMask, f: impl FnMut(usize)) {
 /// Most distinct words in one bank among the lanes `lanes`, whose banks are
 /// `banks`: their `bank << 32 | word` keys sorted, then the longest run of
 /// distinct words within one bank (equal words broadcast). A bank index
-/// never exceeds its word, so it fits in 32 bits. When the lanes share one
-/// bank of a power-of-two count (`row_shift` is its log), their words
-/// differ by whole rows of banks, and rows less than 64 apart are counted
-/// in one bitmap instead.
-fn most_words_in_a_bank(
-    idx: &[u32; WARP],
-    banks: &[u32; WARP],
-    lanes: u32,
-    row_shift: Option<u32>,
-) -> u32 {
+/// never exceeds its word, so it fits in 32 bits.
+fn most_words_in_a_bank(idx: &[u32; WARP], banks: &[u32; WARP], lanes: u32) -> u32 {
     let mut keys = [0u64; WARP];
-    let (mut n, mut lo, mut hi) = (0, u32::MAX, 0);
+    let mut n = 0;
     let mut rest = lanes;
     while rest != 0 {
         let l = rest.trailing_zeros() as usize;
         keys[n] = u64::from(banks[l]) << 32 | u64::from(idx[l]);
-        (lo, hi) = (lo.min(idx[l]), hi.max(idx[l]));
         n += 1;
         rest &= rest - 1;
     }
     let keys = &mut keys[..n];
-    if let Some(shift) = row_shift.filter(|&s| (hi - lo) >> s < 64) {
-        let rows = keys
-            .iter()
-            .fold(0u64, |acc, &k| acc | 1 << ((k as u32 - lo) >> shift));
-        return rows.count_ones();
-    }
     keys.sort_unstable();
     let (mut run, mut most) = (1, 1);
     for pair in keys.windows(2) {
@@ -74,20 +59,21 @@ fn most_words_in_a_bank(
     most
 }
 
-/// The lane stride of a request whose active lanes hold `base + stride·l`
-/// for one integer `base`: 0 for a single active lane or a warp-uniform
-/// word, `None` for any other shape and for an empty mask. The line through
-/// the first two active lanes is checked at the last active lane (it is
-/// monotone, so it stays within `u32` over the active lanes iff it does
-/// there, and that lane must hold it) and then at every lane in one
-/// branch-free pass of wrapping `u32` arithmetic, which is exact once the
-/// range holds.
+/// The lane stride of a request (`mask` not empty) whose active lanes hold
+/// `base + stride·l` for one integer `base`: 0 for a single active lane or
+/// a warp-uniform word, `None` for any other shape. It is the symbolic
+/// oracle's fit (`fit_affine` in [`crate::sym`]) in the arena's 32-bit word
+/// indices: the line through the first two active lanes (a stride that is
+/// not whole truncates, and lane `l1` then misses the line), checked at the
+/// last active lane (it is monotone, so it stays within `u32` over the
+/// active lanes iff it does there, and that lane must hold it), then at
+/// every lane in one branch-free pass of wrapping `u32` arithmetic, which
+/// is exact once the range holds. Every shared access calls it, and the
+/// 64-bit fit on widened indices measured slower end to end (EXPERIMENTS.md,
+/// "Baseline kernels at register speed").
 #[inline]
 fn word_stride(idx: &VU, mask: LaneMask) -> Option<i64> {
     let m = mask.0;
-    if m == 0 {
-        return None;
-    }
     let l0 = m.trailing_zeros();
     let v0 = idx.0[l0 as usize];
     let rest = m & (m - 1);
@@ -99,16 +85,8 @@ fn word_stride(idx: &VU, mask: LaneMask) -> Option<i64> {
         i64::from(idx.0[l1 as usize]) - i64::from(v0),
         i64::from(l1 - l0),
     );
-    // Neighbouring first lanes, the common case, need no division.
-    let stride = if dl == 1 {
-        dv
-    } else if dv % dl == 0 {
-        dv / dl
-    } else {
-        return None;
-    };
-    // The last active lane must lie on the line, in range: most other
-    // shapes end here, before the pass over every lane.
+    let stride = if dl == 1 { dv } else { dv / dl };
+    // Most shapes that are not affine end here, before the pass.
     let top = 31 - m.leading_zeros();
     let end = i64::from(v0) + stride * i64::from(top - l0);
     if !(0..=i64::from(u32::MAX)).contains(&end) || i64::from(idx.0[top as usize]) != end {
@@ -159,25 +137,19 @@ const LANE_CLASS: [u32; WARP] = {
 /// lanes `l`, `l'` share a bank exactly when `stride·(l − l')` is a
 /// multiple of `banks`, that is when `l − l'` is a multiple of
 /// `p = banks / gcd(stride, banks)`: the count is the most active lanes in
-/// one class of lanes mod `p`, whatever `base` is. At least 1. For a
-/// power-of-two bank count the gcd is a power of two too, so `p` is a
-/// shift. The bank model's affine fast path and the oracle's shared-memory
-/// prediction ([`crate::sym`]) both call it.
+/// one class of lanes mod `p`, whatever `base` is. At least 1. The bank
+/// model's affine fast path and the oracle's shared-memory prediction
+/// ([`crate::sym`]) both call it.
 pub(crate) fn passes_from_form(stride: i64, mask: LaneMask, banks: u32) -> u64 {
     if stride == 0 {
         return 1;
     }
-    let p = if banks.is_power_of_two() {
-        let log_b = banks.trailing_zeros();
-        (banks >> stride.trailing_zeros().min(log_b)) as usize
-    } else {
-        let b = u64::from(banks);
-        let (mut x, mut y) = (stride.rem_euclid(b as i64) as u64, b);
-        while x != 0 {
-            (x, y) = (y % x, x);
-        }
-        (b / y) as usize
-    };
+    let b = u64::from(banks);
+    let (mut x, mut y) = (stride.rem_euclid(b as i64) as u64, b);
+    while x != 0 {
+        (x, y) = (y % x, x);
+    }
+    let p = (b / y) as usize;
     if p >= WARP {
         return 1;
     }
@@ -251,7 +223,7 @@ impl SharedMem {
         );
     }
 
-    /// The lane stride of an affine request (see [`word_stride`]) and the
+    /// The lane stride of an affine request ([`word_stride`]) and the
     /// request's pass count: the closed form for an affine request, the
     /// general count for any other.
     #[inline]
@@ -286,21 +258,19 @@ impl SharedMem {
         if mask.is_empty() {
             return 0;
         }
-        let pow2 = self.banks.is_power_of_two();
-        let banks: [u32; WARP] = if pow2 {
+        let banks: [u32; WARP] = if self.banks.is_power_of_two() {
             let m = self.banks as u32 - 1;
             idx.0.map(|w| w & m)
         } else {
             let b = self.banks as u32;
             idx.0.map(|w| w % b)
         };
-        let row_shift = (pow2 && self.banks <= 64).then(|| self.banks.trailing_zeros());
         let mut slots = [0u32; 64];
         for_each_active(mask, |l| slots[banks[l] as usize & 63] |= 1 << l);
         let mut best = 1;
         for &lanes in &slots[..self.banks.min(64)] {
             if lanes.count_ones() > best {
-                best = best.max(most_words_in_a_bank(&idx.0, &banks, lanes, row_shift));
+                best = best.max(most_words_in_a_bank(&idx.0, &banks, lanes));
             }
         }
         u64::from(best)

@@ -634,8 +634,8 @@ fn run_cache_ops(
     }
 }
 
-/// Bank counts from 1 to 257, half of them at most 64 (where the bank
-/// bitmap decides one-pass accesses).
+/// Bank counts from 1 to 257, half of them at most 64 (where the general
+/// count gives every bank a slot of its own).
 fn arb_bank_count() -> impl Strategy<Value = usize> {
     any::<u64>().prop_map(|r| 1 + (r >> 1) as usize % if r % 2 == 0 { 64 } else { 257 })
 }
@@ -722,8 +722,8 @@ fn arb_words() -> impl Strategy<Value = VU> {
     })
 }
 
-/// Bank counts: powers of two, odd and other non-powers, and above 64 (past
-/// the fast path's bitmap).
+/// Bank counts: powers of two, odd and other non-powers, and above 64
+/// (where the general count's slots hold more than one bank).
 fn arb_banks() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![
         1usize, 2, 3, 7, 16, 31, 32, 33, 48, 63, 64, 65, 96, 128, 257,
