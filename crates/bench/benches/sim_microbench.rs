@@ -1,15 +1,15 @@
 //! Criterion micro-benchmarks of the simulator substrate itself: the
 //! coalescer, the shared-memory bank model (lane runs, FFT's bit-reversed
 //! stores and butterflies, the GEMM broadcast read), lane FMA, the
-//! sectored cache (per sector and per line), a warp's lane-run loads, warp
-//! shuffles, the paper's inner loop (row FMAs, filter-weight loads,
-//! Algorithm 1's exchange), the GEMM register tile's column FMAs and the
-//! launch machinery — the per-event costs everything else multiplies out
-//! of.
+//! sectored cache (per sector and per line), a warp's lane-run loads,
+//! Algorithm 1's row loads, warp shuffles, the paper's inner loop (row
+//! FMAs, filter-weight loads, Algorithm 1's exchange), the GEMM register
+//! tile's column FMAs and the launch machinery — the per-event costs
+//! everything else multiplies out of.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use memconv::core::column_reuse::exchange_step;
-use memconv::core::Exchange;
+use memconv::core::column_reuse::{exchange_step, load_row_columns};
+use memconv::core::{ColumnPlan, Exchange};
 use memconv::gpusim::lane::{LaneMask, LaneVec, VF, VU, WARP};
 use memconv::gpusim::memory::cache::{Access, CachePolicy, SectoredCache};
 use memconv::gpusim::memory::coalescer::coalesce_into;
@@ -304,6 +304,37 @@ fn bench_gld_run(c: &mut Criterion) {
     });
 }
 
+fn bench_load_row_columns(c: &mut Criterion) {
+    // Algorithm 1's row load at FW 5 (two loads, three exchanges) over 256
+    // rows on the 2080 Ti's caches, one launch of one warp per iteration:
+    // 96-wide rows, whose loads span the full warp, and the 18-wide rows of
+    // `serve`'s widest endpoint, whose two loads span 18 and 14 lanes.
+    let mut sim = GpuSim::rtx2080ti();
+    let plan = ColumnPlan::new(5);
+    for (name, iw) in [
+        ("load_row_columns_fw5_warp", 96u32),
+        ("load_row_columns_fw5_18", 18),
+    ] {
+        let x = sim.mem.alloc(256 * iw as usize);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let stats = sim.launch(&LaunchConfig::linear(1, 32), |blk| {
+                    blk.each_warp(|w| {
+                        let mut slots = [VF::splat(0.0); 5];
+                        let mut acc = VF::splat(0.0);
+                        for row in 0..256u32 {
+                            load_row_columns(w, x, row * iw, iw, &plan, &mut slots);
+                            acc = acc + slots[2];
+                        }
+                        black_box(acc);
+                    });
+                });
+                black_box(stats.gld_transactions)
+            })
+        });
+    }
+}
+
 fn bench_shuffle(c: &mut Criterion) {
     let v = LaneVec::<f32>::from_fn(|l| l as f32);
     c.bench_function("shfl_xor", |b| {
@@ -363,6 +394,7 @@ criterion_group!(
     bench_cache_2080ti,
     bench_cache_line,
     bench_gld_run,
+    bench_load_row_columns,
     bench_shuffle,
     bench_launch
 );

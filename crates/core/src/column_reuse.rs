@@ -3,7 +3,7 @@
 //! the rest with register-resident shuffle exchanges.
 
 use crate::plan::{ColumnPlan, Exchange};
-use memconv_gpusim::{BufId, WarpCtx, VF, VU, VU64};
+use memconv_gpusim::{BufId, WarpCtx, VF, WARP};
 
 /// Execute one Algorithm 1 exchange.
 ///
@@ -20,14 +20,16 @@ use memconv_gpusim::{BufId, WarpCtx, VF, VU, VU64};
 /// 3. the value to send now sits in the **statically indexed** low half —
 ///    no dynamic indexing, so the buffer stays in registers (§IV);
 /// 4. `shfl_xor` with mask `m` delivers it to the partner lane.
+///
+/// The simulator counts the three register instructions of steps 1–3 and
+/// the one shuffle, but moves the value in one pass
+/// ([`WarpCtx::shfl_xor_select`]): lane `t` receives `hi[t ^ m]` when
+/// `t & m != 0`, and `lo[t ^ m]` otherwise, which is what the device
+/// delivers.
 pub fn exchange_step(w: &mut WarpCtx<'_, '_>, lo_val: &VF, hi_val: &VF, e: &Exchange) -> VF {
-    let packed = VU64::pack(lo_val, hi_val);
-    let shift = VU::from_fn(|l| if l & e.mask == 0 { 32 } else { 0 });
-    let shifted = packed >> shift;
-    let send = shifted.unpack_lo();
     // pack + variable shift + unpack: three register instructions.
     w.count_fp(3);
-    w.shfl_xor(&send, e.mask)
+    w.shfl_xor_select(lo_val, hi_val, e.mask)
 }
 
 /// Load one input row's columns `x0 + lane + k`, `k ∈ [0, plan.fw)`, into
@@ -52,11 +54,8 @@ pub fn load_row_columns(
     slots: &mut [VF],
 ) {
     assert_eq!(slots.len(), plan.fw, "one slot per filter column");
-    let lane = w.lane_id();
     for &k in &plan.loads {
-        let idx = lane + (row_base + k as u32);
-        let mask = lane.lt_scalar(cols_left.saturating_sub(k as u32));
-        slots[k] = w.gld(input, &idx, mask);
+        slots[k] = w.gld_run(input, 0, row_lanes(cols_left, k), row_base + k as u32);
     }
     exchange_slots(w, plan, slots);
 }
@@ -64,9 +63,7 @@ pub fn load_row_columns(
 /// Fill the plan's shuffle-produced slots from the loaded ones.
 fn exchange_slots(w: &mut WarpCtx<'_, '_>, plan: &ColumnPlan, slots: &mut [VF]) {
     for e in &plan.exchanges {
-        let lo = slots[e.lo];
-        let hi = slots[e.hi];
-        slots[e.mid()] = exchange_step(w, &lo, &hi, e);
+        slots[e.mid()] = exchange_step(w, &slots[e.lo], &slots[e.hi], e);
     }
 }
 
@@ -87,8 +84,8 @@ pub fn load_row_columns_clipped(
 ) {
     assert_eq!(slots.len(), plan.fw, "one slot per filter column");
     for &k in &plan.loads {
-        let (idx, mask) = clipped_row_index(row_start, col0 + k as i64, iw);
-        slots[k] = w.gld(input, &idx, mask);
+        let (lo, n, start) = clipped_run(row_start, col0 + k as i64, iw);
+        slots[k] = w.gld_run(input, lo, n, start);
     }
     exchange_slots(w, plan, slots);
 }
@@ -104,19 +101,27 @@ pub fn load_row_columns_direct_clipped(
     slots: &mut [VF],
 ) {
     for (k, slot) in slots.iter_mut().enumerate() {
-        let (idx, mask) = clipped_row_index(row_start, col0 + k as i64, iw);
-        *slot = w.gld(input, &idx, mask);
+        let (lo, n, start) = clipped_run(row_start, col0 + k as i64, iw);
+        *slot = w.gld_run(input, lo, n, start);
     }
 }
 
-/// Per-lane index + in-row mask for column `base_col + lane`.
-fn clipped_row_index(row_start: u32, base_col: i64, iw: usize) -> (VU, memconv_gpusim::LaneMask) {
-    let mask = memconv_gpusim::LaneMask::from_fn(|l| {
-        let col = base_col + l as i64;
-        col >= 0 && (col as usize) < iw
-    });
-    let idx = VU::from_fn(|l| (row_start as i64 + base_col + l as i64) as u32);
-    (idx, mask)
+/// The lanes that load slot `k` of a row with `cols_left` columns left
+/// from the warp's first: lanes `0..n`, whose column `lane + k` is inside
+/// the row.
+fn row_lanes(cols_left: u32, k: usize) -> usize {
+    cols_left.saturating_sub(k as u32).min(WARP as u32) as usize
+}
+
+/// The lane run of column `base_col + lane` of the `iw`-wide row starting
+/// at element `row_start`: `(lo, n, start)`, where lanes `lo..lo + n` are
+/// those whose column lies inside the row and `start` is lane `lo`'s
+/// element.
+fn clipped_run(row_start: u32, base_col: i64, iw: usize) -> (usize, usize, u32) {
+    let lo = (-base_col).clamp(0, WARP as i64);
+    let end = (iw as i64 - base_col).clamp(lo, WARP as i64);
+    let start = (row_start as i64 + base_col + lo) as u32;
+    (lo as usize, (end - lo) as usize, start)
 }
 
 /// The unoptimized comparison point: load all `FW = slots.len()` columns
@@ -129,18 +134,17 @@ pub fn load_row_columns_direct(
     cols_left: u32,
     slots: &mut [VF],
 ) {
-    let lane = w.lane_id();
     for (k, slot) in slots.iter_mut().enumerate() {
-        let idx = lane + (row_base + k as u32);
-        let mask = lane.lt_scalar(cols_left.saturating_sub(k as u32));
-        *slot = w.gld(input, &idx, mask);
+        *slot = w.gld_run(input, 0, row_lanes(cols_left, k), row_base + k as u32);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memconv_gpusim::{DeviceConfig, GpuSim, KernelStats, LaunchConfig, WARP};
+    use memconv_gpusim::{
+        DeviceConfig, FaultKind, FaultPlan, GpuSim, KernelStats, LaunchConfig, VU, VU64,
+    };
 
     /// Run `f` in a single warp against an input of `0..n` ramp data.
     fn with_ramp_warp(n: usize, f: impl FnMut(&mut WarpCtx<'_, '_>, BufId) + Send) -> KernelStats {
@@ -233,6 +237,96 @@ mod tests {
         });
         assert_eq!(stats.local_requests, 0);
         assert_eq!(stats.local_transactions(), 0);
+    }
+
+    /// Algorithm 1's exchange as the device executes it, literally: pack
+    /// `{lo, hi}` into 64 bits, shift right by 32 in the lanes whose mask
+    /// bit is 0, unpack the low half and `shfl_xor` it — the reference
+    /// for [`exchange_step`]'s one-pass shuffle.
+    fn exchange_device(w: &mut WarpCtx<'_, '_>, lo: &VF, hi: &VF, e: &Exchange) -> VF {
+        let packed = VU64::pack(lo, hi);
+        let shift = VU::from_fn(|l| if l & e.mask == 0 { 32 } else { 0 });
+        let send = (packed >> shift).unpack_lo();
+        w.count_fp(3);
+        w.shfl_xor(&send, e.mask)
+    }
+
+    /// A lane's bits: raw, a NaN with a payload, ±0.0 or a subnormal.
+    fn edge_bits(r: u64) -> u32 {
+        let bits = (r >> 32) as u32;
+        match r % 5 {
+            0 => 0x7f80_0000 | (bits & 0x807f_ffff) | 1,
+            1 => bits & 0x8000_0000,
+            2 => (bits & 0x807f_ffff) | 1,
+            _ => bits,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// `exchange_step` delivers the device's bits at every mask Algorithm
+        /// 1 uses, with the device's counters, and, under an armed shuffle
+        /// fault plan, the same corrupted lane and bit.
+        #[test]
+        fn exchange_step_matches_pack_shift_unpack(
+            lo in proptest::collection::vec(proptest::prelude::any::<u64>(), WARP),
+            hi in proptest::collection::vec(proptest::prelude::any::<u64>(), WARP),
+            rate in 0u32..3, seed in proptest::prelude::any::<u64>())
+        {
+            let lo = VF::from_fn(|l| f32::from_bits(edge_bits(lo[l])));
+            let hi = VF::from_fn(|l| f32::from_bits(edge_bits(hi[l])));
+            let run = |device: bool| {
+                let mut sim = GpuSim::new(DeviceConfig::test_tiny());
+                if rate > 0 {
+                    sim.set_fault_plan(Some(FaultPlan::new(seed).with_rate(FaultKind::ShuffleCorrupt, rate)));
+                }
+                let got = std::sync::Mutex::new(Vec::new());
+                let stats = sim.launch(&LaunchConfig::linear(1, 32), |blk| {
+                    blk.each_warp(|w| {
+                        for mask in [1, 2, 4, 8, 16] {
+                            let e = Exchange { lo: 0, hi: 2 * mask, mask };
+                            let v = if device {
+                                exchange_device(w, &lo, &hi, &e)
+                            } else {
+                                exchange_step(w, &lo, &hi, &e)
+                            };
+                            got.lock().unwrap().push(v.to_bits());
+                        }
+                    })
+                });
+                (got.into_inner().unwrap(), stats, sim.take_fault_log())
+            };
+            let (ours, device) = (run(false), run(true));
+            assert_eq!(ours, device);
+            assert_eq!(ours.1.shfl_instrs, 5);
+            assert_eq!(ours.1.fp_instrs, 15);
+        }
+    }
+
+    /// A clipped row's stated run is exactly the lanes whose column lies
+    /// inside the row, at the elements the per-lane index gave them.
+    #[test]
+    fn clipped_runs_are_the_in_row_lanes() {
+        for iw in 1..70usize {
+            for base_col in -40..80i64 {
+                let row_start = 1000 + 7 * iw as u32;
+                let (lo, n, start) = clipped_run(row_start, base_col, iw);
+                for l in 0..WARP {
+                    let col = base_col + l as i64;
+                    let inside = col >= 0 && (col as usize) < iw;
+                    assert_eq!(
+                        (lo..lo + n).contains(&l),
+                        inside,
+                        "iw={iw} col0={base_col} l={l}"
+                    );
+                    if inside {
+                        let want = (row_start as i64 + col) as u32;
+                        assert_eq!(start + (l - lo) as u32, want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::obs::{LaunchSpanRecord, SpanConfig, SpanScratch};
 use crate::shuffle;
 use crate::stats::KernelStats;
 use crate::sym::{PhantomConfig, PredictModel, SymBlockCollector, SymReport};
-use crate::trace::{BlockTrace, GlobalView, StoreBuffer};
+use crate::trace::{copy_short, BlockTrace, GlobalView, StoreBuffer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -598,13 +598,12 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         }
     }
 
-    /// Apply a pending shuffle-lane fault to a shuffle result; the plain
-    /// identity whenever injection is off.
+    /// Apply a pending shuffle-lane fault to a shuffle result `v` in place;
+    /// nothing (and no copy of `v`) whenever injection is off.
     #[inline]
-    fn shfl_faulted(&mut self, v: VF) -> VF {
-        match self.res.faults.as_deref_mut().and_then(|f| f.shuffle()) {
-            Some(c) => shuffle::corrupt_lane(&v, (c.pick % WARP as u64) as usize, c.bit),
-            None => v,
+    fn shfl_fault(&mut self, v: &mut VF) {
+        if let Some(c) = self.res.faults.as_deref_mut().and_then(|f| f.shuffle()) {
+            *v = shuffle::corrupt_lane(v, (c.pick % WARP as u64) as usize, c.bit);
         }
     }
 
@@ -613,8 +612,23 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     #[track_caller]
     pub fn shfl_xor(&mut self, v: &VF, mask: usize) -> VF {
         self.note_shfl(SiteId::caller());
-        let r = shuffle::shfl_xor(v, mask, WARP);
-        self.shfl_faulted(r)
+        let mut r = shuffle::shfl_xor(v, mask, WARP);
+        self.shfl_fault(&mut r);
+        r
+    }
+
+    /// Algorithm 1's exchange shuffle: the `shfl_xor` (with its `mask`
+    /// check, count, analyzer site and shuffle fault draw) of the register
+    /// each lane selects by its `mask` bit — `hi` where it is 0, `lo` where
+    /// it is 1 ([`shuffle::shfl_xor_select`]), computed in one pass over
+    /// the lanes. The select itself is the caller's to count.
+    #[inline]
+    #[track_caller]
+    pub fn shfl_xor_select(&mut self, lo: &VF, hi: &VF, mask: usize) -> VF {
+        self.note_shfl(SiteId::caller());
+        let mut r = shuffle::shfl_xor_select(lo, hi, mask);
+        self.shfl_fault(&mut r);
+        r
     }
 
     /// `__shfl_up_sync` over f32.
@@ -622,8 +636,9 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     #[track_caller]
     pub fn shfl_up(&mut self, v: &VF, delta: usize) -> VF {
         self.note_shfl(SiteId::caller());
-        let r = shuffle::shfl_up(v, delta, WARP);
-        self.shfl_faulted(r)
+        let mut r = shuffle::shfl_up(v, delta, WARP);
+        self.shfl_fault(&mut r);
+        r
     }
 
     /// `__shfl_down_sync` over f32.
@@ -631,8 +646,9 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     #[track_caller]
     pub fn shfl_down(&mut self, v: &VF, delta: usize) -> VF {
         self.note_shfl(SiteId::caller());
-        let r = shuffle::shfl_down(v, delta, WARP);
-        self.shfl_faulted(r)
+        let mut r = shuffle::shfl_down(v, delta, WARP);
+        self.shfl_fault(&mut r);
+        r
     }
 
     /// Indexed `__shfl_sync` over f32.
@@ -640,8 +656,9 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     #[track_caller]
     pub fn shfl_idx(&mut self, v: &VF, idx: &VU) -> VF {
         self.note_shfl(SiteId::caller());
-        let r = shuffle::shfl_idx(v, idx, WARP);
-        self.shfl_faulted(r)
+        let mut r = shuffle::shfl_idx(v, idx, WARP);
+        self.shfl_fault(&mut r);
+        r
     }
 
     /// Broadcast lane `src` to all lanes.
@@ -649,27 +666,30 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     #[track_caller]
     pub fn shfl_bcast(&mut self, v: &VF, src: usize) -> VF {
         self.note_shfl(SiteId::caller());
-        let r = shuffle::broadcast(v, src);
-        self.shfl_faulted(r)
+        let mut r = shuffle::broadcast(v, src);
+        self.shfl_fault(&mut r);
+        r
     }
 
     /// Butterfly warp sum (`shfl_xor` tree), counted as its 5 shuffles
     /// plus 5 adds.
     pub fn warp_sum(&mut self, v: &VF) -> VF {
-        let (r, steps) = shuffle::reduce_add(v);
+        let (mut r, steps) = shuffle::reduce_add(v);
         self.res.tick(steps * 2);
         self.res.stats.shfl_instrs += steps;
         self.res.stats.fp_instrs += steps;
-        self.shfl_faulted(r)
+        self.shfl_fault(&mut r);
+        r
     }
 
     /// Butterfly warp max, counted as its 5 shuffles plus 5 compares.
     pub fn warp_max(&mut self, v: &VF) -> VF {
-        let (r, steps) = shuffle::reduce_max(v);
+        let (mut r, steps) = shuffle::reduce_max(v);
         self.res.tick(steps * 2);
         self.res.stats.shfl_instrs += steps;
         self.res.stats.fp_instrs += steps;
-        self.shfl_faulted(r)
+        self.shfl_fault(&mut r);
+        r
     }
 
     // ----- global memory ---------------------------------------------------
@@ -686,20 +706,14 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// sectors from the span's ends and, in the sequential engine, one copy
     /// (under phantom execution, no copy: see [`WarpCtx::phantom_span`]).
     /// Counters, cache state, fault draws, values and panics are those of
-    /// the per-lane path.
+    /// the per-lane path. A caller whose access is a run by construction
+    /// states it with [`WarpCtx::gld_run`] instead.
     #[track_caller]
     pub fn gld(&mut self, buf: BufId, idx: &VU, mask: LaneMask) -> VF {
         let site = SiteId::caller();
         self.res.tick(1);
         if let Some(run) = self.span_run(idx, mask) {
-            if let Some(ph) = self.res.phantom {
-                self.phantom_span(site, buf, run, mask, false);
-                return phantom_values(ph, mask);
-            }
-            self.run_access(buf, run, false);
-            let mut v = self.res.glob.read_run(buf, idx, mask, run);
-            self.corrupt_global_load(&mut v, mask);
-            return v;
+            return self.load_run(site, buf, run, mask);
         }
         let mut addrs = [0u64; WARP];
         self.res.glob.fill_addrs(buf, idx, mask, &mut addrs);
@@ -736,6 +750,43 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         };
         let mut v = self.res.glob.read_lanes(buf, idx, read_mask);
         self.corrupt_global_load(&mut v, read_mask);
+        v
+    }
+
+    /// [`WarpCtx::gld`] of a lane run stated by its caller rather than
+    /// found in an index vector: lanes `lo..lo + n` load elements
+    /// `start..start + n` of `buf`, the other lanes read 0.0. Algorithm 1's
+    /// row loads are lane runs by construction, so they need not build the
+    /// 32-lane index and mask that `gld` would scan for one.
+    ///
+    /// Everything `gld` does for the same access happens here, in the same
+    /// order: one tick, the span path's counters, L1/L2 stream, fault draw,
+    /// values and symbolic record, and the same panic text. A run `gld`
+    /// would not take as a run — no lanes, elements that wrap past
+    /// `u32::MAX`, or any run under hazard analysis — goes through `gld`
+    /// with the equivalent index and mask.
+    #[track_caller]
+    pub fn gld_run(&mut self, buf: BufId, lo: usize, n: usize, start: u32) -> VF {
+        let mask = LaneMask::span(lo, n);
+        let wraps = n > 0 && start.checked_add(n as u32 - 1).is_none();
+        if n == 0 || wraps || self.res.analysis.is_some() {
+            return self.gld(buf, &(VU::lane_id() + start.wrapping_sub(lo as u32)), mask);
+        }
+        let site = SiteId::caller();
+        self.res.tick(1);
+        self.load_run(site, buf, LaneRun { lo, n, start }, mask)
+    }
+
+    /// The span path of a lane-run load, for `mask` (the run's lanes).
+    #[inline]
+    fn load_run(&mut self, site: SiteId, buf: BufId, run: LaneRun, mask: LaneMask) -> VF {
+        if let Some(ph) = self.res.phantom {
+            self.phantom_span(site, buf, run, mask, false);
+            return phantom_values(ph, mask);
+        }
+        self.run_access(buf, run, false);
+        let mut v = self.res.glob.read_run(buf, run);
+        self.corrupt_global_load(&mut v, mask);
         v
     }
 
@@ -956,8 +1007,25 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// [`WarpCtx::const_load`] (this row at length 1) does, at `start`,
     /// `start + 1`, … in turn: one tick, one instruction and one
     /// bounds-checked read, which panics at the first index out of range.
+    ///
+    /// In the sequential engine's direct view an in-bounds row is read
+    /// with one bounds check and one copy, then ticked element by element:
+    /// its reads cannot panic, so a watchdog trips at the same element
+    /// with the same count. A row that leaves its buffer, and every row in
+    /// the parallel engine's overlay view, is read element by element.
     #[inline]
     pub fn const_load_row(&mut self, buf: BufId, start: u32, out: &mut [f32]) {
+        if let Some(src) = self.res.glob.direct_row(buf, start, out.len()) {
+            match self.res.phantom {
+                Some(ph) => out.fill(ph.canary),
+                None => copy_short(out, src),
+            }
+            for _ in 0..out.len() {
+                self.res.tick(1);
+            }
+            self.res.stats.fp_instrs += out.len() as u64;
+            return;
+        }
         for (j, o) in out.iter_mut().enumerate() {
             self.res.tick(1);
             self.res.stats.fp_instrs += 1;

@@ -37,6 +37,13 @@ impl LaneMask {
         }
     }
 
+    /// Mask with exactly the `n` lanes `lo..lo + n` active.
+    #[inline]
+    pub(crate) fn span(lo: usize, n: usize) -> LaneMask {
+        assert!(lo + n <= WARP, "lanes {lo}..{} leave the warp", lo + n);
+        LaneMask((((1u64 << n) - 1) << lo) as u32)
+    }
+
     /// Build from a per-lane predicate.
     #[inline]
     pub fn from_fn(mut f: impl FnMut(usize) -> bool) -> LaneMask {

@@ -405,6 +405,32 @@ impl StoreBuffer {
     }
 }
 
+/// `dst.copy_from_slice(src)` for the few elements of a lane run or a
+/// filter row, as fixed-size moves of 32 elements, then of 16, 8, 4, 2 and
+/// 1: a copy of variable length is a libc `memcpy` call, which costs more
+/// than copying a few elements.
+#[inline]
+pub(crate) fn copy_short(dst: &mut [f32], src: &[f32]) {
+    #[inline(always)]
+    fn part<const C: usize>(dst: &mut [f32], src: &[f32], at: &mut usize) {
+        if src.len() & C != 0 {
+            dst[*at..*at + C].copy_from_slice(&src[*at..*at + C]);
+            *at += C;
+        }
+    }
+    assert_eq!(dst.len(), src.len(), "copy_short needs equal lengths");
+    let mut at = 0;
+    while src.len() - at >= 32 {
+        dst[at..at + 32].copy_from_slice(&src[at..at + 32]);
+        at += 32;
+    }
+    part::<16>(dst, src, &mut at);
+    part::<8>(dst, src, &mut at);
+    part::<4>(dst, src, &mut at);
+    part::<2>(dst, src, &mut at);
+    part::<1>(dst, src, &mut at);
+}
+
 /// How a block sees global memory during execution.
 ///
 /// The sequential engine mutates [`GlobalMem`] directly; the parallel
@@ -526,28 +552,36 @@ impl GlobalView<'_> {
         }
     }
 
-    /// [`GlobalView::read_lanes`] for a lane run of `idx` under `mask`: in
-    /// the [`GlobalView::Direct`] view an in-bounds run is one bounds check
-    /// and one copy. The overlay view, and a run that leaves its buffer,
-    /// read lane by lane, so values and panic text are unchanged.
+    /// [`GlobalView::read_lanes`] for a lane run: in the
+    /// [`GlobalView::Direct`] view an in-bounds run is one bounds check and
+    /// one copy ([`copy_short`]). The overlay view, and a run that leaves
+    /// its buffer, read lane by lane, so values and panic text are
+    /// unchanged.
     #[inline]
-    pub(crate) fn read_run(
-        &self,
-        id: BufId,
-        idx: &crate::lane::VU,
-        mask: crate::lane::LaneMask,
-        run: LaneRun,
-    ) -> crate::lane::VF {
-        use crate::lane::{LaneVec, WARP};
-        if let GlobalView::Direct(mem) = self {
-            let start = run.start as usize;
-            if let Some(src) = mem.download(id).get(start..start + run.n) {
-                let mut out = [0.0; WARP];
-                out[run.lo..run.lo + run.n].copy_from_slice(src);
-                return LaneVec(out);
-            }
+    pub(crate) fn read_run(&self, id: BufId, run: LaneRun) -> crate::lane::VF {
+        use crate::lane::{LaneMask, LaneVec, VU, WARP};
+        if let Some(src) = self.direct_row(id, run.start, run.n) {
+            let mut out = [0.0; WARP];
+            copy_short(&mut out[run.lo..run.lo + run.n], src);
+            return LaneVec(out);
         }
-        self.read_lanes(id, idx, mask)
+        let idx = VU::lane_id() + run.start.wrapping_sub(run.lo as u32);
+        self.read_lanes(id, &idx, LaneMask::span(run.lo, run.n))
+    }
+
+    /// Elements `start..start + n` of buffer `id`, when the view is
+    /// [`GlobalView::Direct`] and they lie inside the buffer: the one
+    /// bounds check of a run or row read. `None` in the overlay view, whose
+    /// reads must see the block's pending stores first.
+    #[inline]
+    pub(crate) fn direct_row(&self, id: BufId, start: u32, n: usize) -> Option<&[f32]> {
+        match self {
+            GlobalView::Direct(mem) => {
+                let start = start as usize;
+                mem.download(id).get(start..start + n)
+            }
+            GlobalView::Overlay { .. } => None,
+        }
     }
 
     /// [`GlobalView::write_lanes`] for a lane run, with the same fast path

@@ -933,6 +933,21 @@ proptest! {
             prop_assert_eq!(got.lane(l).to_bits(), want.lane(l).to_bits());
         }
     }
+
+    /// The one-pass exchange shuffle delivers, bit for bit, what the
+    /// device does at every mask: lanes whose mask bits are 0 shift
+    /// their packed pair right by 32, unpack the low half and `shfl_xor`
+    /// it.
+    #[test]
+    fn shfl_xor_select_matches_pack_shift_unpack(lo in arb_lanes_f32(), hi in arb_lanes_f32()) {
+        for mask in 0..WARP {
+            let shift = VU::from_fn(|l| if l & mask == 0 { 32 } else { 0 });
+            let send = (LaneVec::<u64>::pack(&lo, &hi) >> shift).unpack_lo();
+            let want = shuffle::shfl_xor(&send, mask, WARP);
+            let got = shuffle::shfl_xor_select(&lo, &hi, mask);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "mask {}", mask);
+        }
+    }
 }
 
 proptest! {
@@ -1394,6 +1409,138 @@ proptest! {
     }
 }
 
+// ---- stated lane runs -----------------------------------------------------
+//
+// `WarpCtx::gld_run` against `WarpCtx::gld` given the equivalent index and
+// mask, under every mode that changes the load path.
+
+/// Lanes `lo..lo + n` load elements `start..` of `buf`, as a stated run or
+/// through `gld`. `#[track_caller]`, so either load is attributed to the
+/// caller's line and the two sides' reports name the same site.
+#[track_caller]
+fn stated_or_gld(
+    w: &mut memconv_gpusim::WarpCtx<'_, '_>,
+    stated: bool,
+    buf: memconv_gpusim::BufId,
+    (lo, n, start): (usize, usize, u32),
+) -> VF {
+    if stated {
+        w.gld_run(buf, lo, n, start)
+    } else {
+        let idx = VU::from_fn(|l| start.wrapping_add((l as u32).wrapping_sub(lo as u32)));
+        w.gld(buf, &idx, LaneMask::from_fn(|l| (lo..lo + n).contains(&l)))
+    }
+}
+
+/// Everything one side of a stated-run comparison can observe.
+#[derive(Debug, PartialEq)]
+struct LoadSeen {
+    launch: Result<KernelStats, LaunchError>,
+    /// The load's value bits, then a following probe's (which sees the
+    /// L1 and L2 the load left).
+    bits: Option<(VU, VU)>,
+    faults: memconv_gpusim::FaultLog,
+    sym: Option<memconv_gpusim::SymReport>,
+    hazards: Option<String>,
+}
+
+/// One launch of one warp on `dev` over `data`: the run load, then a probe
+/// of 32 elements spread over the buffer. `mode` 0 is plain, 1 arms
+/// global-load flips and L2 sector drops and duplicates, 2 is phantom
+/// execution and 3 hazard analysis; `parallel` runs the parallel engine,
+/// whose overlay view reads lane by lane. A watchdog `budget` of one
+/// instruction trips at the probe when the load ticked.
+#[allow(clippy::too_many_arguments)]
+fn stated_run_side(
+    stated: bool,
+    dev: &DeviceConfig,
+    data: &[f32],
+    run: (usize, usize, u32),
+    mode: u64,
+    parallel: bool,
+    budget: Option<u64>,
+    seed: u64,
+) -> LoadSeen {
+    let mut sim = GpuSim::new(dev.clone());
+    sim.set_watchdog_budget(budget);
+    if parallel {
+        sim.set_launch_mode(memconv_gpusim::LaunchMode::Parallel);
+        sim.set_parallel_threads(Some(1));
+    }
+    match mode {
+        1 => sim.set_fault_plan(Some(
+            FaultPlan::new(seed)
+                .with_rate(FaultKind::GlobalBitFlip, 2)
+                .with_rate(FaultKind::L2SectorDrop, 3)
+                .with_rate(FaultKind::L2SectorDup, 3),
+        )),
+        2 => sim.set_phantom(Some(memconv_gpusim::PhantomConfig { canary: -7.25 })),
+        3 => sim.set_analysis(Some(memconv_gpusim::AnalysisConfig::default())),
+        _ => {}
+    }
+    let buf = sim.mem.upload(data);
+    let len = data.len() as u32;
+    let seen = std::sync::Mutex::new(None);
+    let launch = sim.try_launch(&LaunchConfig::linear(1, 32), |blk| {
+        blk.each_warp(|w| {
+            let v = stated_or_gld(w, stated, buf, run);
+            let probe = w.gld(buf, &VU::from_fn(|l| l as u32 * len / 32), LaneMask::ALL);
+            *seen.lock().unwrap() = Some((v.to_bits(), probe.to_bits()));
+        })
+    });
+    LoadSeen {
+        launch,
+        bits: seen.into_inner().unwrap(),
+        faults: sim.take_fault_log(),
+        sym: sim.take_sym_report(),
+        hazards: sim.take_hazard_report().map(|r| format!("{r:?}")),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A stated run loads what `gld` loads for the same index and mask:
+    /// the value bits, every counter, the L1 and L2 a following access
+    /// sees, the fault draws, the phantom `SymReport`, the hazard report,
+    /// the panic text and the watchdog's count — for runs of no lanes, from
+    /// lane 0 or above, partial or full, ending at, one past or far past
+    /// the buffer end, ending at or wrapping past `u32::MAX`, on both
+    /// engines.
+    #[test]
+    fn stated_runs_match_per_lane_loads(pick in any::<u64>(), len in 1u32..300,
+                                        shape in any::<u64>(), mode in 0u64..4,
+                                        parallel in any::<bool>(), tight in any::<bool>(),
+                                        seed in any::<u64>(),
+                                        fill in prop::collection::vec(any::<u32>(), 300usize)) {
+        let dev = global_path_device(pick);
+        let data: Vec<f32> = (0..len as usize).map(|i| f32::from_bits(fill[i])).collect();
+        let lo = match shape % 3 {
+            0 => 0,
+            _ => (shape >> 8) as usize % (WARP + 1),
+        };
+        let n = match (shape >> 16) % 4 {
+            0 => 0,
+            1 => WARP - lo,
+            _ => (shape >> 24) as usize % (WARP - lo + 1),
+        };
+        let k = n.max(1) as u32;
+        let start = match (shape >> 32) % 7 {
+            0 => len.saturating_sub(k),     // ends at the buffer end
+            1 => len.saturating_sub(k) + 1, // one past it
+            2 => len + (shape >> 40) as u32 % 64,
+            3 => u32::MAX - (k - 1),        // ends at u32::MAX
+            4 => u32::MAX - (shape >> 40) as u32 % k, // wraps past it
+            _ => (shape >> 40) as u32 % (len + 8),
+        };
+        let run = (lo, n, start);
+        let budget = tight.then_some(1);
+        let stated = stated_run_side(true, &dev, &data, run, mode, parallel, budget, seed);
+        let per_lane = stated_run_side(false, &dev, &data, run, mode, parallel, budget, seed);
+        prop_assert_eq!(stated, per_lane);
+    }
+}
+
 // ---- row primitives -------------------------------------------------------
 //
 // `WarpCtx::fma_row`, `WarpCtx::fma_col` and `WarpCtx::const_load_row`
@@ -1407,16 +1554,19 @@ fn arb_weights() -> impl Strategy<Value = Vec<f32>> {
 }
 
 /// Run `f` in one warp of a one-block launch on a fresh simulator holding
-/// `consts`, and return the launch's outcome plus whatever `f` recorded.
+/// `consts`, with the watchdog at `budget` instructions when one is given,
+/// and return the launch's outcome plus whatever `f` recorded.
 fn one_warp<T: Send + Default>(
     consts: &[f32],
     phantom: bool,
+    budget: Option<u64>,
     f: impl Fn(&mut memconv_gpusim::WarpCtx<'_, '_>, memconv_gpusim::BufId) -> T + Sync,
 ) -> (Result<KernelStats, LaunchError>, T) {
     let mut sim = GpuSim::new(DeviceConfig::test_tiny());
     if phantom {
         sim.set_phantom(Some(memconv_gpusim::PhantomConfig { canary: -7.25 }));
     }
+    sim.set_watchdog_budget(budget);
     let buf = sim.mem.upload(consts);
     let out = std::sync::Mutex::new(T::default());
     let got = sim.try_launch(&LaunchConfig::linear(1, 32), |blk| {
@@ -1442,12 +1592,12 @@ proptest! {
             Some(x) if cancel & (1 << l) != 0 => -(x.lane(l) * ws[0]),
             _ => acc.lane(l),
         });
-        let (row_stats, row) = one_warp(&[], false, |w, _| {
+        let (row_stats, row) = one_warp(&[], false, None, |w, _| {
             let mut a = acc;
             w.fma_row(&mut a, &xs, ws);
             Some(a)
         });
-        let (one_stats, one) = one_warp(&[], false, |w, _| {
+        let (one_stats, one) = one_warp(&[], false, None, |w, _| {
             let mut a = acc;
             for (&x, &wt) in xs.iter().zip(ws) {
                 a = w.fma(x, VF::splat(wt), a);
@@ -1483,12 +1633,12 @@ proptest! {
         let rows: Vec<VF> = rows.iter().zip(ws).map(|(r, &wt)| VF::from_fn(|l| {
             if cancel & (1 << l) != 0 { -(x.lane(l) * wt) } else { r.lane(l) }
         })).collect();
-        let (col_stats, col) = one_warp(&[], false, |w, _| {
+        let (col_stats, col) = one_warp(&[], false, None, |w, _| {
             let mut rs = rows.clone();
             w.fma_col(&mut rs, &x, ws);
             rs
         });
-        let (one_stats, one) = one_warp(&[], false, |w, _| {
+        let (one_stats, one) = one_warp(&[], false, None, |w, _| {
             rows.iter().zip(ws).map(|(&r, &wt)| w.fma(x, VF::splat(wt), r)).collect::<Vec<_>>()
         });
         let (col_stats, one_stats) = (col_stats.unwrap(), one_stats.unwrap());
@@ -1509,16 +1659,19 @@ proptest! {
         }
     }
 
-    /// A row of constant loads gives the values, `fp_instrs` and panic
-    /// text of one `const_load` per element, at any start and length over
-    /// any buffer length — ranges inside, straddling the end of, or past
-    /// the buffer, and starts near `u32::MAX` — and reads the canary under
-    /// phantom execution. `const_load` is the one-element row, so the
-    /// values are also checked against the buffer and the panic text
-    /// against the device read's at the first index out of range.
+    /// A row of constant loads gives the values, `fp_instrs`, panic text
+    /// and watchdog trip of one `const_load` per element, at any start and
+    /// length over any buffer length — ranges inside, straddling the end
+    /// of, or past the buffer, and starts near `u32::MAX` — reads the
+    /// canary under phantom execution, and trips a watchdog budget that
+    /// runs out mid-row at the same element with the same `issued` count.
+    /// `const_load` is the one-element row, so the values are also checked
+    /// against the buffer, the panic text against the device read's at the
+    /// first index out of range, and a trip against the element it stops.
     #[test]
     fn const_load_row_matches_single_loads(len in 0usize..40, start_pick in any::<u64>(),
                                            n in 0usize..12, phantom in any::<bool>(),
+                                           budget_pick in any::<u64>(),
                                            vals in arb_weights()) {
         let consts: Vec<f32> = (0..len).map(|i| vals[i % WARP]).collect();
         let start = match start_pick % 4 {
@@ -1526,31 +1679,45 @@ proptest! {
             1 => (len as u32).saturating_sub(n as u32) + (start_pick >> 8) as u32 % 3,
             _ => (start_pick >> 8) as u32 % (len as u32 + 4),
         };
-        let (row_got, row) = one_warp(&consts, phantom, |w, buf| {
+        // Half the rows run under a budget of 0 to n + 1 instructions.
+        let budget = (budget_pick % 2 == 1).then_some((budget_pick >> 8) % (n as u64 + 2));
+        let (row_got, row) = one_warp(&consts, phantom, budget, |w, buf| {
             let mut out = vec![f32::NAN; n];
             w.const_load_row(buf, start, &mut out);
             out
         });
-        let (one_got, one) = one_warp(&consts, phantom, |w, buf| {
+        let (one_got, one) = one_warp(&consts, phantom, budget, |w, buf| {
             (0..n as u32).map(|j| w.const_load(buf, start.wrapping_add(j))).collect::<Vec<VF>>()
         });
         prop_assert_eq!(&row_got, &one_got);
-        if let Ok(stats) = &row_got {
-            prop_assert_eq!(stats.fp_instrs, n as u64);
-            prop_assert_eq!(row.len(), n);
-            for (j, (&got, want)) in row.iter().zip(&one).enumerate() {
-                prop_assert!(want.0.iter().all(|&v| v.to_bits() == got.to_bits()), "element {}", j);
-                let expect = if phantom { -7.25 } else { consts[start as usize + j] };
-                prop_assert_eq!(got.to_bits(), expect.to_bits());
+        let first_bad = (0..n as u32)
+            .map(|j| start.wrapping_add(j))
+            .position(|i| i as usize >= len);
+        match &row_got {
+            Ok(stats) => {
+                prop_assert_eq!(stats.fp_instrs, n as u64);
+                prop_assert_eq!(row.len(), n);
+                for (j, (&got, want)) in row.iter().zip(&one).enumerate() {
+                    prop_assert!(want.0.iter().all(|&v| v.to_bits() == got.to_bits()), "element {}", j);
+                    let expect = if phantom { -7.25 } else { consts[start as usize + j] };
+                    prop_assert_eq!(got.to_bits(), expect.to_bits());
+                }
             }
-        } else {
-            let bad = (0..n as u32)
-                .map(|j| start.wrapping_add(j))
-                .find(|&i| i as usize >= len)
-                .expect("a failed row reads out of range");
-            let text = format!("device read OOB: buffer 0 has {len} elems, index {bad}");
-            prop_assert!(matches!(&row_got, Err(LaunchError::OutOfBounds(m)) if m.contains(&text)),
-                         "{:?}", row_got);
+            // The element past the budget trips before its read: the rows
+            // before it were in range.
+            Err(LaunchError::Timeout { issued, budget: b, hang_injected: false }) => {
+                prop_assert_eq!(Some(*b), budget);
+                prop_assert_eq!(*issued, b + 1);
+                prop_assert!(*b < n as u64 && first_bad.unwrap_or(n) as u64 >= *b);
+            }
+            _ => {
+                let j = first_bad.expect("a failed row reads out of range");
+                let bad = start.wrapping_add(j as u32);
+                prop_assert!(budget.unwrap_or(u64::MAX) > j as u64, "trips before element {}", j);
+                let text = format!("device read OOB: buffer 0 has {len} elems, index {bad}");
+                prop_assert!(matches!(&row_got, Err(LaunchError::OutOfBounds(m)) if m.contains(&text)),
+                             "{:?}", row_got);
+            }
         }
     }
 }

@@ -134,28 +134,39 @@ where
 }
 
 /// Order-preserving parallel map over per-shard work queues with work
-/// stealing.
+/// stealing and per-worker state.
 ///
-/// `queue_lens[s]` is the length of shard `s`'s queue; `f(s, i)` processes
-/// item `i` of shard `s`. Worker `w` is affined to queue `w % shards` and
-/// drains it first (preserving cache/device affinity — in the serving
-/// fleet, queue `s` holds the launch groups routed to device `s`), then
-/// steals from whichever other queue has the most items remaining. The
-/// result preserves queue order: `out[s][i] == f(s, i)` regardless of
-/// which worker ran it or in what order. A panic in `f` propagates to the
-/// caller once all workers have stopped.
-pub fn map_sharded_with<R, F>(queue_lens: &[usize], threads: usize, f: F) -> Vec<Vec<R>>
+/// `queue_lens[s]` is the length of shard `s`'s queue; `f(s, i, state)`
+/// processes item `i` of shard `s`. One worker runs per element of
+/// `states` (at most one per item), and worker `w` threads `states[w]`
+/// through every item it runs, so the caller keeps its workers' state —
+/// the serving fleet's simulators — across calls. Worker `w` is affined
+/// to queue `w % shards` and drains it first (preserving cache/device
+/// affinity — in the serving fleet, queue `s` holds the launch groups
+/// routed to device `s`), then steals from whichever other queue has the
+/// most items remaining, so two workers may run one queue's items at
+/// once. The result preserves queue order: `out[s][i] == f(s, i, _)`
+/// regardless of which worker ran it or in what order. A panic in `f`
+/// propagates to the caller once all workers have stopped.
+///
+/// # Panics
+///
+/// When `states` is empty.
+pub fn map_sharded_with<R, S, F>(queue_lens: &[usize], states: &mut [S], f: F) -> Vec<Vec<R>>
 where
     R: Send,
-    F: Fn(usize, usize) -> R + Sync,
+    S: Send,
+    F: Fn(usize, usize, &mut S) -> R + Sync,
 {
+    assert!(!states.is_empty(), "map_sharded_with needs a worker state");
     let total: usize = queue_lens.iter().sum();
-    let threads = threads.clamp(1, total.max(1));
+    let threads = states.len().min(total.max(1));
     if threads <= 1 || total <= 1 {
+        let state = &mut states[0];
         return queue_lens
             .iter()
             .enumerate()
-            .map(|(s, &len)| (0..len).map(|i| f(s, i)).collect())
+            .map(|(s, &len)| (0..len).map(|i| f(s, i, state)).collect())
             .collect();
     }
 
@@ -164,8 +175,10 @@ where
     std::thread::scope(|scope| {
         let cursors = &cursors;
         let f = &f;
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
+        let handles: Vec<_> = states[..threads]
+            .iter_mut()
+            .enumerate()
+            .map(|(w, state)| {
                 let home = w % queue_lens.len().max(1);
                 scope.spawn(move || {
                     let mut local: Vec<(usize, usize, R)> = Vec::new();
@@ -188,7 +201,7 @@ where
                         let Some(s) = target else { break };
                         let i = cursors[s].fetch_add(1, Ordering::Relaxed);
                         if i < queue_lens[s] {
-                            local.push((s, i, f(s, i)));
+                            local.push((s, i, f(s, i, state)));
                         }
                     }
                     local
@@ -358,7 +371,7 @@ mod tests {
     fn map_sharded_preserves_queue_order() {
         let lens = [5usize, 0, 17, 3, 9];
         for threads in [1, 2, 3, 8, 32] {
-            let out = map_sharded_with(&lens, threads, |s, i| s * 100 + i);
+            let out = map_sharded_with(&lens, &mut vec![(); threads], |s, i, _| s * 100 + i);
             assert_eq!(out.len(), lens.len());
             for (s, (queue, &len)) in out.iter().zip(lens.iter()).enumerate() {
                 assert_eq!(queue, &(0..len).map(|i| s * 100 + i).collect::<Vec<_>>());
@@ -369,11 +382,17 @@ mod tests {
     #[test]
     fn map_sharded_handles_edge_shapes() {
         assert_eq!(
-            map_sharded_with(&[], 4, |s, i| (s, i)),
+            map_sharded_with(&[], &mut [(); 4], |s, i, _| (s, i)),
             Vec::<Vec<(usize, usize)>>::new()
         );
-        assert_eq!(map_sharded_with(&[0, 0], 4, |_, i| i), vec![vec![], vec![]]);
-        assert_eq!(map_sharded_with(&[1], 8, |s, i| s + i), vec![vec![0]]);
+        assert_eq!(
+            map_sharded_with(&[0, 0], &mut [(); 4], |_, i, _| i),
+            vec![vec![], vec![]]
+        );
+        assert_eq!(
+            map_sharded_with(&[1], &mut [(); 8], |s, i, _| s + i),
+            vec![vec![0]]
+        );
     }
 
     #[test]
@@ -382,7 +401,7 @@ mod tests {
         // One heavy queue, three empty ones, more threads than queues:
         // every item must still be processed exactly once.
         let done = AtomicUsize::new(0);
-        let out = map_sharded_with(&[64, 0, 0, 0], 8, |_, i| {
+        let out = map_sharded_with(&[64, 0, 0, 0], &mut [(); 8], |_, i, _| {
             done.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -390,10 +409,25 @@ mod tests {
         assert_eq!(out[0], (0..64).collect::<Vec<_>>());
     }
 
+    /// Each worker threads its own state through the items it runs, and
+    /// the caller gets every state back: the counts add up to the items.
+    #[test]
+    fn map_sharded_threads_each_worker_state() {
+        for threads in [1, 2, 3, 8] {
+            let mut counts = vec![0usize; threads];
+            let out = map_sharded_with(&[7, 0, 12], &mut counts, |s, i, n| {
+                *n += 1;
+                s * 100 + i
+            });
+            assert_eq!(out[2], (0..12).map(|i| 200 + i).collect::<Vec<_>>());
+            assert_eq!(counts.iter().sum::<usize>(), 19, "{threads} workers");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "sharded boom")]
     fn map_sharded_propagates_worker_panic() {
-        map_sharded_with(&[4, 4], 2, |s, i| {
+        map_sharded_with(&[4, 4], &mut [(); 2], |s, i, _| {
             if s == 1 && i == 2 {
                 panic!("sharded boom");
             }

@@ -49,11 +49,14 @@
 //! `(device, plan, batch, nonce)`: chaos decisions are keyed by the
 //! device-namespaced plan seed and a per-`(group, attempt)` launch-seq
 //! nonce ([`GpuSim::set_launch_seq`]), both independent of engine and
-//! thread count. All mutable fleet state — breakers, busy clocks,
-//! caches, the event log — is updated in a sequential pass in fixed
-//! `(shard, queue-index)` order. Fleet outputs, metrics, and the event
-//! sequence are therefore bit-identical across launch engines, worker
-//! counts, and runs (proptest-pinned in `tests/prop_fleet.rs`).
+//! thread count. Each worker keeps one simulator across attempts and
+//! windows, and [`GpuSim::reset`]s it before every attempt, so an attempt
+//! never sees which worker ran it or what ran there before. All mutable
+//! fleet state — breakers, busy clocks, caches, the event log — is
+//! updated in a sequential pass in fixed `(shard, queue-index)` order.
+//! Fleet outputs, metrics, and the event sequence are therefore
+//! bit-identical across launch engines, worker counts, and runs
+//! (proptest-pinned in `tests/prop_fleet.rs`).
 
 use crate::cache::{cache_key, PlanCache};
 use crate::metrics::{percentiles, Percentiles};
@@ -125,7 +128,8 @@ pub struct FleetConfig {
     pub chaos: Option<FaultPlan>,
     /// Maximum requests coalesced per batching window.
     pub window: usize,
-    /// Worker threads for the per-device queues.
+    /// Worker threads for the per-device queues, each with one simulator
+    /// kept for the fleet's lifetime (0 counts as 1).
     pub workers: usize,
     /// Plan-cache capacity per shard.
     pub cache_capacity: usize,
@@ -626,6 +630,12 @@ pub struct ConvFleet {
     cfg: FleetConfig,
     shards: Vec<Shard>,
     group_seq: u64,
+    /// One simulator per worker, reset before each attempt
+    /// ([`run_attempt`]). Not one per shard: a worker that drains its own
+    /// queue steals from the others, so two workers may run one shard's
+    /// groups at once. The sequential phase (failovers, probes) uses the
+    /// first.
+    sims: Vec<GpuSim>,
 }
 
 impl ConvFleet {
@@ -663,11 +673,15 @@ impl ConvFleet {
                 probe_seq: 0,
             })
             .collect();
+        let sims = (0..cfg.workers.max(1))
+            .map(|_| GpuSim::new(cfg.devices[0].clone()))
+            .collect();
         ConvFleet {
             endpoints,
             cfg,
             shards,
             group_seq: 0,
+            sims,
         }
     }
 
@@ -794,6 +808,7 @@ impl ConvFleet {
         };
         let nonce = mix(mix(PROBE_NS, s as u64), seq);
         let result = run_attempt(
+            &mut self.sims[0],
             &self.shards[s].device,
             self.cfg.launch_mode,
             self.cfg.watchdog_budget,
@@ -913,10 +928,11 @@ impl ConvFleet {
         let cfg = &self.cfg;
         let shards = &self.shards;
         let firsts: Vec<Vec<AttemptResult>> =
-            memconv_par::map_sharded_with(&queue_lens, self.cfg.workers, |s, qi| {
+            memconv_par::map_sharded_with(&queue_lens, &mut self.sims, |s, qi, sim| {
                 let grp = &queues[s][qi];
                 let (batch, weights) = build_batch(endpoints, grp, chunk);
                 run_attempt(
+                    sim,
                     &shards[s].device,
                     cfg.launch_mode,
                     cfg.watchdog_budget,
@@ -1049,6 +1065,7 @@ impl ConvFleet {
                             let (plan, hit) = self.resolve_plan(ns, grp.endpoint);
                             let (batch, weights) = build_batch(&self.endpoints, &grp, chunk);
                             let result = run_attempt(
+                                &mut self.sims[0],
                                 &self.shards[ns].device,
                                 self.cfg.launch_mode,
                                 self.cfg.watchdog_budget,
@@ -1340,16 +1357,31 @@ fn build_batch<'a>(
     (batch, &ep.weights)
 }
 
-/// Run one device attempt: fresh simulator, chaos armed with a private
-/// launch-seq nonce, golden verification against the CPU reference.
-/// Pure in everything but the fault log (discarded with the sim), so it
-/// is safe to call from the parallel phase.
+/// Run one device attempt on `sim`, a worker's kept simulator: chaos armed
+/// with a private launch-seq nonce, golden verification against the CPU
+/// reference.
+///
+/// `sim` is first [`GpuSim::reset`] and then given everything a fresh
+/// simulator for this attempt would have: `device`, the launch mode, the
+/// watchdog budget, the fault plan (`None` too, since `reset` keeps the
+/// previous attempt's) and the launch sequence. What `reset` keeps — the
+/// built L2, the on-chip state, the scratch pool — every launch renews,
+/// so the attempt is a pure function of its arguments, whichever worker
+/// runs it and whatever ran on `sim` before: safe to call from the
+/// parallel phase.
+///
+/// A caught panic (a watchdog trip, an out-of-bounds access under chaos)
+/// resets `sim` rather than rebuilding it: a launch that unwinds leaves
+/// nothing that the next launch does not renew (the L2 and the block's
+/// L1 and shared memory are renewed at launch and block start, and the
+/// parallel engine builds fresh scratch for any the unwind dropped).
 ///
 /// Outer `Err` = the plan failed to instantiate (registry bug —
 /// effectively unreachable for heuristic plans); inner result = what the
 /// attempt did.
 #[allow(clippy::too_many_arguments)]
 fn run_attempt(
+    sim: &mut GpuSim,
     device: &DeviceConfig,
     mode: LaunchMode,
     watchdog_budget: u64,
@@ -1360,20 +1392,27 @@ fn run_attempt(
     weights: &memconv::tensor::FilterBank,
 ) -> Result<AttemptResult, ()> {
     let algo = instantiate_nchw(plan, SampleMode::Full).map_err(|_| ())?;
+    sim.reset();
+    sim.device = device.clone();
+    sim.set_launch_mode(mode);
+    sim.set_watchdog_budget(Some(watchdog_budget));
+    sim.set_fault_plan(faults);
+    if faults.is_some() {
+        // Without chaos the sequence stays at the 0 `reset` left, as on a
+        // fresh simulator.
+        sim.set_launch_seq(nonce);
+    }
     let launched = catch_unwind(AssertUnwindSafe(|| {
-        let mut sim = GpuSim::new(device.clone()).with_launch_mode(mode);
-        sim.set_watchdog_budget(Some(watchdog_budget));
-        if let Some(p) = faults {
-            sim.set_fault_plan(Some(p));
-            sim.set_launch_seq(nonce);
-        }
-        let (out, rep) = algo.run(&mut sim, batch, weights);
+        let (out, rep) = algo.run(sim, batch, weights);
         (out, rep.modeled_time(device), rep.global_transactions())
     }));
     Ok(match launched {
-        Err(payload) => Err(AttemptFail::Launch(launch_error_kind(&classify_panic(
-            payload,
-        )))),
+        Err(payload) => {
+            sim.reset();
+            Err(AttemptFail::Launch(launch_error_kind(&classify_panic(
+                payload,
+            ))))
+        }
         Ok((out, modeled_seconds, transactions)) => {
             let golden = conv_nchw_ref(batch, weights);
             let max_abs = out
@@ -1879,6 +1918,111 @@ mod tests {
             );
             assert_eq!(rep.requests, base_rep.requests);
             assert_eq!(rep.shards, base_rep.shards);
+        }
+    }
+
+    /// An attempt's observable result: output bits, modeled seconds and
+    /// transactions, or the failure's kind.
+    fn attempt_summary(r: AttemptResult) -> Result<(Vec<u32>, u64, u64), String> {
+        match r {
+            Ok(ok) => Ok((
+                ok.batch_out
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect(),
+                ok.modeled_seconds.to_bits(),
+                ok.transactions,
+            )),
+            Err(AttemptFail::Launch(kind)) => Err(kind.into()),
+            Err(AttemptFail::Sdc { max_abs, .. }) => Err(format!("sdc {max_abs}")),
+        }
+    }
+
+    /// A worker's kept simulator, after attempts that panicked (a watchdog
+    /// trip under hang chaos, one under a tiny budget) or were corrupted by
+    /// chaos, runs a clean attempt exactly as a new simulator does: `reset`
+    /// plus the per-attempt settings leave nothing of the earlier attempts,
+    /// the fault plan included.
+    #[test]
+    fn kept_simulator_after_a_caught_panic_matches_a_new_one() {
+        let eps = tiny_endpoints();
+        let dev = DeviceConfig::test_tiny();
+        let budget = FleetConfig::default().watchdog_budget;
+        let batch = TensorRng::new(5).tensor(2, 2, 12, 12);
+        let g = ConvGeometry::nchw(2, 2, 12, 12, 3, 3, 3);
+        let plan = plan_nchw_heuristic(&dev, &g, SampleMode::Auto(64))
+            .unwrap()
+            .plan;
+        let attempt = |sim: &mut GpuSim, budget: u64, faults: Option<FaultPlan>| {
+            let r = run_attempt(
+                sim,
+                &dev,
+                LaunchMode::Sequential,
+                budget,
+                faults,
+                7,
+                &plan,
+                &batch,
+                &eps[0].weights,
+            );
+            attempt_summary(r.expect("heuristic plans instantiate"))
+        };
+        let want = attempt(&mut GpuSim::new(dev.clone()), budget, None);
+        assert!(want.is_ok(), "{want:?}");
+
+        let mut kept = GpuSim::new(DeviceConfig::rtx2080ti());
+        let hang = FaultPlan::new(3).with_rate(FaultKind::Hang, 1);
+        assert_eq!(
+            attempt(&mut kept, budget, Some(hang)),
+            Err("timeout".into())
+        );
+        assert_eq!(attempt(&mut kept, budget, None), want, "after hang chaos");
+        assert_eq!(attempt(&mut kept, 50, None), Err("timeout".into()));
+        assert_eq!(attempt(&mut kept, budget, None), want, "after a trip");
+        let flips = FaultPlan::new(3).with_rate(FaultKind::GlobalBitFlip, 1);
+        assert!(attempt(&mut kept, budget, Some(flips)).is_err());
+        assert_eq!(attempt(&mut kept, budget, None), want, "after flips");
+    }
+
+    /// Under chaos (every fault class at its default rate, hangs and
+    /// their caught watchdog trips included), a replay over many windows
+    /// is bit-identical at 1, 2 and 4 workers, whichever worker's kept
+    /// simulator runs each attempt.
+    #[test]
+    fn chaos_replay_is_identical_at_1_2_and_4_workers() {
+        let eps = tiny_endpoints();
+        let reqs = trace(&eps, 32, 41);
+        let run = |workers: usize| {
+            let mut chaos = FaultPlan::new(0);
+            for kind in FaultKind::ALL {
+                chaos = chaos.with_rate(kind, kind.default_rate());
+            }
+            let mut cfg = fleet_cfg(3);
+            cfg.workers = workers;
+            cfg.chaos = Some(chaos);
+            let mut fleet = ConvFleet::new(eps.clone(), cfg);
+            let (outs, rep) = fleet.run_trace(&reqs).unwrap();
+            let outputs: Vec<Vec<u32>> = outs
+                .iter()
+                .map(|o| {
+                    let o = o.as_ref().unwrap().output.as_slice();
+                    o.iter().map(|v| v.to_bits()).collect()
+                })
+                .collect();
+            (outputs, rep)
+        };
+        let (base_out, base_rep) = run(1);
+        assert!(
+            base_rep.failovers() > 0,
+            "default chaos rates should fail some attempts"
+        );
+        for workers in [2, 4] {
+            let (out, rep) = run(workers);
+            assert_eq!(out, base_out, "outputs differ at {workers} workers");
+            assert_eq!(rep.events, base_rep.events, "{workers} workers");
+            assert_eq!(rep.requests, base_rep.requests, "{workers} workers");
+            assert_eq!(rep.shards, base_rep.shards, "{workers} workers");
         }
     }
 
