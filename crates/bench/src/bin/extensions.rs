@@ -6,9 +6,8 @@
 //! cargo run --release -p memconv-bench --bin extensions
 //! ```
 
-use memconv::core::kernel2d_strided::{conv2d_ours_strided, StridedPlan};
 use memconv::core::kernel_multi_filter::OursMultiFilter;
-use memconv::core::{autotune_2d, conv_nchw_multi_filter};
+use memconv::core::{autotune_2d, conv_nchw_multi_filter, conv_nchw_ours_geo, StridedPlan};
 use memconv::prelude::*;
 use memconv_bench::{harness_sample, run_nchw};
 
@@ -84,9 +83,10 @@ fn main() {
         "config", "plan", "direct txns", "ours txns", "saving"
     );
     let mut rng2 = TensorRng::new(2121);
-    let stem = rng2.image(227, 227);
+    let stem = rng2.tensor(1, 1, 227, 227);
     for (f, stride) in [(11usize, 4usize), (7, 2), (5, 2), (3, 2)] {
-        let filt = rng2.filter(f, f);
+        let filt = rng2.filter_bank(1, 1, f, f);
+        let g = ConvGeometry::single(227, 227, f).with_stride(stride, stride);
         let plan = StridedPlan::new(f, stride);
         let txns = |column_reuse: bool| {
             let cfg = OursConfig {
@@ -94,7 +94,7 @@ fn main() {
                 ..OursConfig::full().with_sample(sample)
             };
             let mut sim = GpuSim::rtx2080ti();
-            let (_, s) = conv2d_ours_strided(&mut sim, &stem, &filt, stride, stride, &cfg);
+            let (_, s) = conv_nchw_ours_geo(&mut sim, &stem, &filt, &g, &cfg);
             s.gld_transactions
         };
         let direct = txns(false);

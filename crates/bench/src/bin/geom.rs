@@ -12,29 +12,28 @@
 //! extrapolation):
 //!
 //! 1. **depthwise vs dense** — a MobileNet-style 3×3 block run dense
-//!    (groups 1, C→C) and depthwise (groups = C): the dedicated
-//!    depthwise kernel touches `1/C` of the dense MAC volume and its
-//!    global transactions must sit strictly below the dense block's.
+//!    (groups 1, C→C) and depthwise (groups = C): `ours` on the depthwise
+//!    block touches `1/C` of the dense MAC volume and its global
+//!    transactions must sit strictly below the dense block's.
 //! 2. **stride sweep** — transactions vs stride on a fixed block; a
 //!    stride-`s` output plane has ~`1/s²` of the stride-1 elements, and
 //!    the load/store traffic must track that.
 //! 3. **dilation sweep** — transactions vs dilation; the output shrinks
 //!    only by the dilated-filter halo, so traffic stays near stride-1.
 //! 4. **extended-zoo divergence check** — every model-zoo layer at its
-//!    *published* stride (spatial/filter-capped) plus synthetic
-//!    grouped/depthwise/dilated/strided geometries, each run through
-//!    every registry algorithm whose `supports_shape` accepts it and
-//!    compared against the CPU reference `conv_nchw_ref_geo`
-//!    (bit-identical for the direct kernels, tolerance-checked for the
-//!    accumulation-reordering GEMM baseline).
+//!    *published* stride (spatial/filter-capped, each capped geometry
+//!    once) plus synthetic grouped/depthwise/dilated/strided geometries,
+//!    each run through every registry algorithm whose `supports_shape`
+//!    accepts it and compared against the CPU reference
+//!    `conv_nchw_ref_geo` (bit-identical for `ours`, tolerance-checked
+//!    for the accumulation-reordering GEMM baseline).
 //!
 //! Results land in `BENCH_geom.json` (append-with-dedup on the identity
 //! prefix; rows carry `host_parallelism` and seed provenance). `--gate`
-//! exits 1 unless the divergence count is zero **and** the depthwise
-//! kernel's transactions are strictly below the dense-equivalent
-//! block's.
+//! exits 1 unless the divergence count is zero **and** `ours` moves
+//! strictly fewer transactions on the depthwise block than on the
+//! dense-equivalent one.
 
-use memconv::core::DepthwiseDirect;
 use memconv::prelude::*;
 use memconv::reference::conv_nchw_ref_geo;
 use memconv::workloads::model_zoo;
@@ -44,8 +43,8 @@ use memconv_bench::{append_json_rows, host_parallelism, parse_flag, string_flag}
 /// against the CPU reference.
 struct Contender {
     algo: Box<dyn ConvNchwAlgorithm>,
-    /// Direct kernels reproduce the reference bit-for-bit; the GEMM
-    /// baseline reorders accumulation and is tolerance-checked instead.
+    /// `ours` reproduces the reference bit-for-bit; the GEMM baseline
+    /// reorders accumulation and is tolerance-checked instead.
     exact: bool,
 }
 
@@ -58,10 +57,6 @@ fn contenders() -> Vec<Contender> {
         Contender {
             algo: Box::new(Im2colGemm::caffe()),
             exact: false,
-        },
-        Contender {
-            algo: Box::new(DepthwiseDirect::with_config(OursConfig::full())),
-            exact: true,
         },
     ]
 }
@@ -88,10 +83,12 @@ fn run_cell(c: &Contender, g: &ConvGeometry, seed: u64, mode: LaunchMode) -> (u6
 }
 
 /// The extended zoo: every model-zoo layer at its published stride
-/// (spatial/filter-count capped so `SampleMode::Full` stays tractable)
-/// plus synthetic geometries exercising each new axis and a combined one.
+/// (spatial/filter-count capped so `SampleMode::Full` stays tractable;
+/// layers the caps make one geometry run once, under the first one's
+/// label) plus synthetic geometries exercising each new axis and a
+/// combined one.
 fn extended_zoo(spatial: usize, channels: usize, filter_cap: usize) -> Vec<(String, ConvGeometry)> {
-    let mut zoo = Vec::new();
+    let mut zoo: Vec<(String, ConvGeometry)> = Vec::new();
     for m in model_zoo() {
         let g = ConvGeometry::nchw(
             1,
@@ -103,7 +100,9 @@ fn extended_zoo(spatial: usize, channels: usize, filter_cap: usize) -> Vec<(Stri
             m.filter,
         )
         .with_stride(m.native_stride, m.native_stride);
-        zoo.push((format!("{}/{} s={}", m.model, m.layer, m.native_stride), g));
+        if zoo.iter().all(|(_, z)| z.cache_key() != g.cache_key()) {
+            zoo.push((format!("{}/{} s={}", m.model, m.layer, m.native_stride), g));
+        }
     }
     let c = channels;
     let base = ConvGeometry::nchw(1, c, spatial, spatial, c, 3, 3);
@@ -171,7 +170,7 @@ fn main() {
             if block == "dense" && c.algo.name() == "ours" {
                 dense_tx = tx;
             }
-            if block == "depthwise" && c.algo.name() == "depthwise-direct" {
+            if block == "depthwise" && c.algo.name() == "ours" {
                 dw_tx = tx;
             }
             let ratio = if dense_tx > 0 {
@@ -198,7 +197,7 @@ fn main() {
     }
     let dw_below_dense = dw_tx < dense_tx;
     println!(
-        "depthwise-direct vs dense ours: {:.3}x ({} — must be strictly < 1)",
+        "depthwise vs dense ours: {:.3}x ({} — must be strictly < 1)",
         dw_tx as f64 / dense_tx.max(1) as f64,
         if dw_below_dense { "ok" } else { "FAIL" }
     );

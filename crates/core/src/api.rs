@@ -39,8 +39,7 @@ pub trait ConvNchwAlgorithm {
     /// limits (e.g. cuDNN's FFT algorithm caps spatial extent at 256 px)
     /// or restricted geometry axes. The default is conservative: only
     /// unit-stride, unit-dilation, single-group geometries — algorithms
-    /// that generalize (ours, im2col/GEMM, the depthwise kernel) opt in
-    /// by overriding.
+    /// that generalize (ours, im2col/GEMM) opt in by overriding.
     fn supports_shape(&self, geo: &ConvGeometry) -> bool {
         geo.has_unit_axes() && self.supports(geo.f_h, geo.f_w)
     }
@@ -114,8 +113,8 @@ impl ConvNchwAlgorithm for Ours {
     }
 
     fn supports_shape(&self, geo: &ConvGeometry) -> bool {
-        // The geometry-general kernel handles groups, stride, dilation
-        // and implicit padding.
+        // The one kernel handles groups, stride, dilation and implicit
+        // padding.
         ConvNchwAlgorithm::supports(self, geo.f_h, geo.f_w)
     }
 
@@ -134,74 +133,9 @@ impl ConvNchwAlgorithm for Ours {
         g: &ConvGeometry,
     ) -> (Tensor4, RunReport) {
         let (out, stats) =
-            crate::kernel_nchw_geo::conv_nchw_ours_geo(sim, input, weights, g, &self.cfg);
+            crate::kernel_nchw::conv_nchw_ours_geo(sim, input, weights, g, &self.cfg);
         let mut rep = RunReport::new();
         rep.push("ours_fused_nchw", stats);
-        (out, rep)
-    }
-}
-
-/// The dedicated depthwise kernel ([`crate::kernel_depthwise`]) packaged
-/// as a [`ConvNchwAlgorithm`]. Only accepts `groups == IC` geometries —
-/// the registry offers it exactly where the cross-channel reduction
-/// vanishes.
-#[derive(Debug, Clone, Default)]
-pub struct DepthwiseDirect {
-    /// Kernel configuration (tiling, sampling; `column_reuse` governs the
-    /// shuffle exchange exactly as in the dense kernels).
-    pub cfg: crate::kernel2d::OursConfig,
-}
-
-impl DepthwiseDirect {
-    /// Default tiling.
-    pub fn new() -> Self {
-        DepthwiseDirect::default()
-    }
-
-    /// With an explicit configuration.
-    pub fn with_config(cfg: crate::kernel2d::OursConfig) -> Self {
-        DepthwiseDirect { cfg }
-    }
-}
-
-impl ConvNchwAlgorithm for DepthwiseDirect {
-    fn name(&self) -> &str {
-        "depthwise-direct"
-    }
-
-    fn supports_shape(&self, geo: &ConvGeometry) -> bool {
-        geo.is_depthwise() && self.supports(geo.f_h, geo.f_w)
-    }
-
-    fn run(&self, sim: &mut GpuSim, input: &Tensor4, weights: &FilterBank) -> (Tensor4, RunReport) {
-        // Unit-axes entry point: infer the depthwise geometry from the
-        // tensor dims (weights must carry exactly one channel).
-        let (n, c, ih, iw) = input.dims();
-        assert_eq!(weights.channels(), 1, "depthwise weights carry 1 channel");
-        let g = ConvGeometry::nchw(
-            n,
-            c,
-            ih,
-            iw,
-            weights.num_filters(),
-            weights.fh(),
-            weights.fw(),
-        )
-        .with_groups(c);
-        self.run_geo(sim, input, weights, &g)
-    }
-
-    fn run_geo(
-        &self,
-        sim: &mut GpuSim,
-        input: &Tensor4,
-        weights: &FilterBank,
-        g: &ConvGeometry,
-    ) -> (Tensor4, RunReport) {
-        let (out, stats) =
-            crate::kernel_depthwise::conv_depthwise(sim, input, weights, g, &self.cfg);
-        let mut rep = RunReport::new();
-        rep.push("depthwise_direct", stats);
         (out, rep)
     }
 }

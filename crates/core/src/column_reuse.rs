@@ -1,9 +1,12 @@
 //! Column reuse (paper §II-A, Algorithm 1): materialize the `FW` input
 //! columns every lane needs while issuing only the plan's loads, filling
-//! the rest with register-resident shuffle exchanges.
+//! the rest with register-resident shuffle exchanges. The loaders of every
+//! row the `ours` kernel reads live here: Algorithm 1 and its direct
+//! comparison point for unit axes, and the strided/gathered loads for
+//! every other geometry.
 
-use crate::plan::{ColumnPlan, Exchange};
-use memconv_gpusim::{BufId, WarpCtx, VF, WARP};
+use crate::plan::{ColumnPlan, Exchange, StridedPlan};
+use memconv_gpusim::{BufId, LaneMask, WarpCtx, VF, VU, WARP};
 
 /// Execute one Algorithm 1 exchange.
 ///
@@ -67,61 +70,11 @@ fn exchange_slots(w: &mut WarpCtx<'_, '_>, plan: &ColumnPlan, slots: &mut [VF]) 
     }
 }
 
-/// Clipped variant for zero-padded convolution: lane `l`'s slot `k` is the
-/// column `col0 + l + k` of the row starting at element `row_start`
-/// (`col0` may be negative under left padding). Out-of-row lanes are
-/// masked off and read 0.0 — which is exactly the zero-padding value, so
-/// the shuffle exchanges propagate correct padded data with no extra
-/// logic. Fills the caller's `slots` like [`load_row_columns`].
-pub fn load_row_columns_clipped(
-    w: &mut WarpCtx<'_, '_>,
-    input: BufId,
-    row_start: u32,
-    col0: i64,
-    iw: usize,
-    plan: &ColumnPlan,
-    slots: &mut [VF],
-) {
-    assert_eq!(slots.len(), plan.fw, "one slot per filter column");
-    for &k in &plan.loads {
-        let (lo, n, start) = clipped_run(row_start, col0 + k as i64, iw);
-        slots[k] = w.gld_run(input, lo, n, start);
-    }
-    exchange_slots(w, plan, slots);
-}
-
-/// Clipped direct loads (Fig. 1a flow under zero padding): one load per
-/// slot, `slots.len()` being the filter width.
-pub fn load_row_columns_direct_clipped(
-    w: &mut WarpCtx<'_, '_>,
-    input: BufId,
-    row_start: u32,
-    col0: i64,
-    iw: usize,
-    slots: &mut [VF],
-) {
-    for (k, slot) in slots.iter_mut().enumerate() {
-        let (lo, n, start) = clipped_run(row_start, col0 + k as i64, iw);
-        *slot = w.gld_run(input, lo, n, start);
-    }
-}
-
 /// The lanes that load slot `k` of a row with `cols_left` columns left
 /// from the warp's first: lanes `0..n`, whose column `lane + k` is inside
 /// the row.
 fn row_lanes(cols_left: u32, k: usize) -> usize {
     cols_left.saturating_sub(k as u32).min(WARP as u32) as usize
-}
-
-/// The lane run of column `base_col + lane` of the `iw`-wide row starting
-/// at element `row_start`: `(lo, n, start)`, where lanes `lo..lo + n` are
-/// those whose column lies inside the row and `start` is lane `lo`'s
-/// element.
-fn clipped_run(row_start: u32, base_col: i64, iw: usize) -> (usize, usize, u32) {
-    let lo = (-base_col).clamp(0, WARP as i64);
-    let end = (iw as i64 - base_col).clamp(lo, WARP as i64);
-    let start = (row_start as i64 + base_col + lo) as u32;
-    (lo as usize, (end - lo) as usize, start)
 }
 
 /// The unoptimized comparison point: load all `FW = slots.len()` columns
@@ -136,6 +89,56 @@ pub fn load_row_columns_direct(
 ) {
     for (k, slot) in slots.iter_mut().enumerate() {
         *slot = w.gld_run(input, 0, row_lanes(cols_left, k), row_base + k as u32);
+    }
+}
+
+/// Load one row's `slots.len()` filter taps at any width stride `sw` and
+/// dilation `dw` (the unit-axes rows have [`load_row_columns`]): lane
+/// `l`'s tap `k` is column `col0 + sw·l + dw·k` of the `iw`-wide row
+/// starting at element `row_base`, where `col0` is negative under left
+/// padding. Lanes whose column lies outside the row read 0.0, the padding
+/// value.
+///
+/// With a [`StridedPlan`] (dense taps, `sw < FW`) every lane loads the
+/// plan's base slots and the rest arrive by uniform `shfl_down`; the last
+/// lanes of the warp, which have no shuffle source, load their tap
+/// directly. Without one every tap is its own gathered load.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn load_row_columns_geo(
+    w: &mut WarpCtx<'_, '_>,
+    input: BufId,
+    row_base: usize,
+    col0: i64,
+    sw: usize,
+    dw: usize,
+    iw: usize,
+    plan: Option<&StridedPlan>,
+    slots: &mut [VF],
+) {
+    let col = |l: usize, k: usize| col0 + (l * sw + k * dw) as i64;
+    let gather = |w: &mut WarpCtx<'_, '_>, k: usize, m: LaneMask| {
+        let mask = LaneMask::from_fn(|l| m.get(l) && (0..iw as i64).contains(&col(l, k)));
+        let idx = VU::from_fn(|l| (row_base as i64 + col(l, k).clamp(0, iw as i64 - 1)) as u32);
+        w.gld(input, &idx, mask)
+    };
+    match plan {
+        Some(plan) => {
+            for (k, slot) in slots.iter_mut().enumerate().take(plan.base_slots) {
+                *slot = gather(w, k, LaneMask::ALL);
+            }
+            for &(k, delta, src) in &plan.exchanges {
+                let shuffled = w.shfl_down(&slots[src], delta);
+                // tail lanes have no shuffle source
+                let tail = LaneMask::from_fn(|l| l + delta >= WARP);
+                let loaded = gather(w, k, tail);
+                slots[k] = loaded.select(tail, &shuffled);
+            }
+        }
+        None => {
+            for (k, slot) in slots.iter_mut().enumerate() {
+                *slot = gather(w, k, LaneMask::ALL);
+            }
+        }
     }
 }
 
@@ -301,31 +304,6 @@ mod tests {
             assert_eq!(ours, device);
             assert_eq!(ours.1.shfl_instrs, 5);
             assert_eq!(ours.1.fp_instrs, 15);
-        }
-    }
-
-    /// A clipped row's stated run is exactly the lanes whose column lies
-    /// inside the row, at the elements the per-lane index gave them.
-    #[test]
-    fn clipped_runs_are_the_in_row_lanes() {
-        for iw in 1..70usize {
-            for base_col in -40..80i64 {
-                let row_start = 1000 + 7 * iw as u32;
-                let (lo, n, start) = clipped_run(row_start, base_col, iw);
-                for l in 0..WARP {
-                    let col = base_col + l as i64;
-                    let inside = col >= 0 && (col as usize) < iw;
-                    assert_eq!(
-                        (lo..lo + n).contains(&l),
-                        inside,
-                        "iw={iw} col0={base_col} l={l}"
-                    );
-                    if inside {
-                        let want = (row_start as i64 + col) as u32;
-                        assert_eq!(start + (l - lo) as u32, want);
-                    }
-                }
-            }
         }
     }
 

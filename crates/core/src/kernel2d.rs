@@ -1,18 +1,18 @@
-//! The fused single-channel 2D convolution kernel ("ours" in the paper's
-//! Fig. 3): column reuse along the width dimension, row reuse along the
-//! height dimension, all accumulators in registers.
+//! The fused single-channel 2D convolution ("ours" in the paper's Fig. 3):
+//! column reuse along the width dimension, row reuse along the height
+//! dimension, all accumulators in registers.
 //!
 //! Thread mapping: each warp computes a 32-column × `rows_per_thread`-row
 //! tile of the output. Lane `l` of the warp owns output column
 //! `x0 + l`; its `rows_per_thread` outputs live in register accumulators.
 //! Input rows stream through the tile exactly once (row reuse); each row's
-//! columns are materialized with the shuffle plan (column reuse).
+//! columns are materialized with the shuffle plan (column reuse). The
+//! entry points here run the one `ours` kernel ([`crate::kernel_nchw`]) on
+//! `1×1×H×W` geometries.
 
-use crate::column_reuse::{load_row_columns_clipped, load_row_columns_direct_clipped};
-use crate::plan::ColumnPlan;
-use crate::row_reuse::contributions_tiled;
-use memconv_gpusim::{BufId, GpuSim, KernelStats, LaunchConfig, SampleMode, VF, WARP};
-use memconv_tensor::{Filter2D, Image2D};
+use crate::kernel_nchw::launch_conv_nchw_ours;
+use memconv_gpusim::{BufId, GpuSim, KernelStats, SampleMode};
+use memconv_tensor::{ConvGeometry, Filter2D, Image2D, Padding};
 
 /// Tuning and ablation knobs for the fused kernel.
 #[derive(Debug, Clone)]
@@ -96,121 +96,33 @@ pub fn launch_conv2d_ours(
     fw: usize,
     cfg: &OursConfig,
 ) -> KernelStats {
-    launch_conv2d_ours_padded(sim, input, filter, output, ih, iw, fh, fw, 0, 0, cfg)
+    let g = ConvGeometry::nchw(1, 1, ih, iw, 1, fh, fw);
+    launch_conv_nchw_ours(sim, input, filter, output, &g, cfg)
 }
 
-/// The fused kernel with symmetric zero padding (`pad_h`/`pad_w` on each
-/// side). Padding is *implicit*: out-of-image loads are predicated off,
-/// which yields exactly the 0.0 the padded convolution needs — no staging
-/// copy, no extra traffic. With `pad = (F−1)/2` this is a `Same`
-/// convolution.
-#[allow(clippy::too_many_arguments)]
-pub fn launch_conv2d_ours_padded(
-    sim: &mut GpuSim,
-    input: BufId,
-    filter: BufId,
-    output: BufId,
-    ih: usize,
-    iw: usize,
-    fh: usize,
-    fw: usize,
-    pad_h: usize,
-    pad_w: usize,
-    cfg: &OursConfig,
-) -> KernelStats {
-    let (vh, vw) = (ih + 2 * pad_h, iw + 2 * pad_w); // virtual padded dims
-    assert!(vh >= fh && vw >= fw, "filter larger than padded input");
-    assert!(cfg.rows_per_thread >= 1 && cfg.block_warps >= 1);
-    let (oh, ow) = (vh - fh + 1, vw - fw + 1);
-    let t_rows = cfg.rows_per_thread;
-    let cols_per_block = WARP * cfg.block_warps;
-    let gx = ow.div_ceil(cols_per_block) as u32;
-    let gy = oh.div_ceil(t_rows) as u32;
-    let plan = ColumnPlan::new(fw);
-    let launch =
-        LaunchConfig::grid2d(gx, gy, (WARP * cfg.block_warps) as u32).with_sample(cfg.sample);
-
-    sim.launch(&launch, |blk| {
-        let (bx, by, _) = blk.block_idx;
-        blk.each_warp(|w| {
-            let x0 = (bx as usize * cfg.block_warps + w.warp_id) * WARP;
-            if x0 >= ow {
-                return;
-            }
-            let y0 = by as usize * t_rows;
-            if y0 >= oh {
-                return;
-            }
-            // First input column this warp touches, in real (unpadded)
-            // coordinates — negative under left padding.
-            let col0 = x0 as i64 - pad_w as i64;
-
-            // Filter weights from constant memory into registers.
-            let mut fvals = vec![0.0f32; fh * fw];
-            w.const_load_row(filter, 0, &mut fvals);
-
-            // Register accumulators (one output row tile per lane) and the
-            // row's column slots, reused for every row.
-            let mut acc = vec![VF::splat(0.0); t_rows];
-            let mut slots = vec![VF::splat(0.0); fw];
-
-            let last_in_row = (y0 + t_rows + fh - 1).min(vh);
-            for vy in y0..last_in_row {
-                // real input row; rows in the padding band contribute zero
-                let iy = vy as i64 - pad_h as i64;
-                if iy >= 0 && (iy as usize) < ih {
-                    let row_start = (iy as usize * iw) as u32;
-                    if cfg.column_reuse {
-                        load_row_columns_clipped(w, input, row_start, col0, iw, &plan, &mut slots);
-                    } else {
-                        load_row_columns_direct_clipped(w, input, row_start, col0, iw, &mut slots);
-                    }
-                    for (o, fr) in contributions_tiled(vy, fh, y0, t_rows, oh) {
-                        let t = o - y0;
-                        w.fma_row(&mut acc[t], &slots, &fvals[fr * fw..][..fw]);
-                    }
-                }
-            }
-
-            // Store the tile.
-            let lane = w.lane_id();
-            let store_mask = lane.lt_scalar((ow - x0) as u32);
-            for (t, &a) in acc.iter().enumerate() {
-                let oy = y0 + t;
-                if oy >= oh {
-                    break;
-                }
-                let idx = lane + (oy * ow + x0) as u32;
-                w.gst(output, &idx, &a, store_mask);
-            }
-        });
-    })
-}
-
-/// Convenience wrapper with explicit padding: upload, run, download.
+/// The fused kernel with zero padding (`pad_h`/`pad_w` on each side, from
+/// the [`Padding`] policy). Padding is *implicit*: out-of-image loads are
+/// predicated off, which yields exactly the 0.0 the padded convolution
+/// needs — no staging copy, no extra traffic. `Padding::Same` keeps the
+/// image's shape. Upload, run, download.
 pub fn conv2d_ours_padded(
     sim: &mut GpuSim,
     input: &Image2D,
     filter: &Filter2D,
-    pad: memconv_tensor::Padding,
+    pad: Padding,
     cfg: &OursConfig,
 ) -> (Image2D, KernelStats) {
-    let (ih, iw) = (input.h(), input.w());
-    let (fh, fw) = (filter.fh(), filter.fw());
-    let g = memconv_tensor::ConvGeometry::single(ih, iw, fh)
+    let g = ConvGeometry::single(input.h(), input.w(), filter.fh())
         .with_padding(pad)
         .expect("padding policy")
         .validate()
         .expect("geometry");
-    let _ = g.f_w; // square filters in ConvGeometry::single; fw checked below
-    assert_eq!(fh, fw, "conv2d_ours_padded expects square filters");
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let bi = sim.mem.upload_shared(input.shared());
-    let bf = sim.mem.upload(filter.as_slice());
-    let bo = sim.mem.alloc(oh * ow);
-    let stats = launch_conv2d_ours_padded(sim, bi, bf, bo, ih, iw, fh, fw, g.pad_h, g.pad_w, cfg);
-    let out = Image2D::from_vec(oh, ow, sim.mem.take(bo)).expect("shape by construction");
-    (out, stats)
+    assert_eq!(
+        filter.fh(),
+        filter.fw(),
+        "conv2d_ours_padded expects square filters"
+    );
+    run_2d(sim, input, filter, &g, cfg)
 }
 
 /// Convenience wrapper: upload, run, download.
@@ -220,21 +132,31 @@ pub fn conv2d_ours(
     filter: &Filter2D,
     cfg: &OursConfig,
 ) -> (Image2D, KernelStats) {
-    let (ih, iw) = (input.h(), input.w());
-    let (fh, fw) = (filter.fh(), filter.fw());
-    let (oh, ow) = (ih - fh + 1, iw - fw + 1);
+    let g = ConvGeometry::nchw(1, 1, input.h(), input.w(), 1, filter.fh(), filter.fw());
+    run_2d(sim, input, filter, &g, cfg)
+}
+
+/// Upload, run the `1×1×H×W` geometry `g`, download.
+fn run_2d(
+    sim: &mut GpuSim,
+    input: &Image2D,
+    filter: &Filter2D,
+    g: &ConvGeometry,
+    cfg: &OursConfig,
+) -> (Image2D, KernelStats) {
     let bi = sim.mem.upload_shared(input.shared());
     let bf = sim.mem.upload(filter.as_slice());
-    let bo = sim.mem.alloc(oh * ow);
-    let stats = launch_conv2d_ours(sim, bi, bf, bo, ih, iw, fh, fw, cfg);
-    let out = Image2D::from_vec(oh, ow, sim.mem.take(bo)).expect("shape by construction");
+    let bo = sim.mem.alloc(g.out_elems());
+    let stats = launch_conv_nchw_ours(sim, bi, bf, bo, g, cfg);
+    let out =
+        Image2D::from_vec(g.out_h(), g.out_w(), sim.mem.take(bo)).expect("shape by construction");
     (out, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memconv_gpusim::DeviceConfig;
+    use memconv_gpusim::{DeviceConfig, WARP};
     use memconv_ref::conv2d_ref;
     use memconv_tensor::generate::TensorRng;
 
@@ -342,7 +264,6 @@ mod padding_tests {
     use memconv_gpusim::DeviceConfig;
     use memconv_ref::conv2d_ref_padded;
     use memconv_tensor::generate::TensorRng;
-    use memconv_tensor::Padding;
 
     #[test]
     fn same_padding_bitexact() {

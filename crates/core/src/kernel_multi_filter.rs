@@ -15,7 +15,7 @@
 //! `rows_per_thread · filters_per_pass` values per lane; with the default
 //! 8×4 that is 32 registers — comfortably within Turing's 255/thread.
 
-use crate::column_reuse::{load_row_columns_clipped, load_row_columns_direct_clipped};
+use crate::column_reuse::{load_row_columns, load_row_columns_direct};
 use crate::kernel2d::OursConfig;
 use crate::plan::ColumnPlan;
 use crate::row_reuse::contributions_tiled;
@@ -85,15 +85,12 @@ pub fn launch_conv_nchw_multi_filter(
                 }
                 let plane_base = (n * ic + c) * in_plane;
                 for iy in y0..last_in_row {
-                    let row_start = (plane_base + iy * iw) as u32;
+                    let row_base = (plane_base + iy * iw + x0) as u32;
+                    let cols_left = (iw - x0) as u32;
                     if cfg.column_reuse {
-                        load_row_columns_clipped(
-                            w, input, row_start, x0 as i64, iw, &plan, &mut slots,
-                        );
+                        load_row_columns(w, input, row_base, cols_left, &plan, &mut slots);
                     } else {
-                        load_row_columns_direct_clipped(
-                            w, input, row_start, x0 as i64, iw, &mut slots,
-                        );
+                        load_row_columns_direct(w, input, row_base, cols_left, &mut slots);
                     }
                     // One loaded row feeds every (row, filter) output pair.
                     for (o, fr) in contributions_tiled(iy, fh, y0, t_rows, oh) {

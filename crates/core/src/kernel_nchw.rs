@@ -1,17 +1,48 @@
-//! The multi-channel, batched variant of the fused kernel ("ours" in the
-//! paper's Fig. 4): one grid-z slice per (batch image, output filter) pair,
-//! channels accumulated in the inner loop.
+//! The `ours` kernel: the paper's fused direct convolution (Fig. 3's and
+//! Fig. 4's "ours") as one launch body for every geometry — batched and
+//! multi-channel, grouped or depthwise, strided, dilated and implicitly
+//! zero-padded. The single-channel 2D entry points ([`crate::kernel2d`])
+//! run it as `1×1×H×W` geometries.
 //!
-//! As the paper notes (§IV-B), this kernel optimizes the spatial
-//! dimensions only — input channels are processed sequentially — so it
-//! shines for the small-channel-count layers (the first layers of a CNN)
-//! and cedes ground to GEMM-based algorithms when `FN × IC` grows.
+//! One grid-z slice per (batch image, output filter) pair; each warp
+//! computes a 32-column × `rows_per_thread`-row output tile, and the input
+//! channels of the filter's group accumulate in the inner loop. As the
+//! paper notes (§IV-B), the kernel optimizes the spatial dimensions only —
+//! input channels are processed sequentially — so it shines for the
+//! small-channel-count layers (the first layers of a CNN) and cedes ground
+//! to GEMM-based algorithms when `FN × IC` grows.
+//!
+//! ## How the paper's two reuses generalize
+//!
+//! * **Column reuse** — at unit stride and dilation without padding, each
+//!   row's columns come from Algorithm 1 ([`load_row_columns`]). Everywhere
+//!   else lane `t`'s base input column is `SW·(X0+t)`, and the
+//!   [`StridedPlan`] uniform-`shfl_down` exchange replaces Algorithm 1:
+//!   loads per row drop from `FW` to `min(SW, FW)` plus a masked tail.
+//!   Dilated taps (`DW > 1`) space the columns apart so lane-to-lane
+//!   overlap only exists when `SW` divides `DW·k` — the kernel falls back
+//!   to direct gathered loads there, which is itself the transaction story
+//!   the dilation sweep measures.
+//! * **Row reuse** — each loaded input row feeds every output of the tile
+//!   that needs it ([`contributions_tiled`], or [`contributions_geo`] under
+//!   stride and dilation) in ascending output order with ascending filter
+//!   rows per output, preserving the CPU reference's accumulation order
+//!   bit-for-bit. Rows in the padding band contribute zero and issue no
+//!   loads.
+//!
+//! Groups restrict the channel loop: filter `f` belongs to group
+//! `f / (FN/groups)` and reads that group's `IC/groups` input channels;
+//! its weight plane `cg` lives at `(f·CPG + cg)·FH·FW`. Depthwise
+//! (`CPG == 1`) degenerates to a single pass with no cross-channel
+//! reduction.
 
-use crate::column_reuse::{load_row_columns, load_row_columns_direct};
+use crate::column_reuse::{load_row_columns, load_row_columns_direct, load_row_columns_geo};
 use crate::kernel2d::OursConfig;
-use crate::plan::ColumnPlan;
-use crate::row_reuse::contributions_tiled;
-use memconv_gpusim::{BlockCtx, BufId, GpuSim, KernelStats, LaunchConfig, LaunchError, VF, WARP};
+use crate::plan::{ColumnPlan, StridedPlan};
+use crate::row_reuse::{contributions_geo, contributions_tiled};
+use memconv_gpusim::{
+    BlockCtx, BufId, GpuSim, KernelStats, LaunchConfig, LaunchError, WarpCtx, VF, WARP,
+};
 use memconv_tensor::{ConvGeometry, FilterBank, Tensor4};
 
 /// Elementwise work folded into the conv kernel's store path, applied to
@@ -46,53 +77,125 @@ impl ConvEpilogue {
     }
 }
 
-/// Build the launch geometry and kernel closure for the fused
-/// multi-channel kernel, shared by the panicking
-/// ([`launch_conv_nchw_ours`]) and fallible ([`try_launch_conv_nchw_ours`])
-/// entry points.
-fn nchw_launch_parts(
-    input: BufId,
-    weights: BufId,
-    output: BufId,
-    g: &ConvGeometry,
-    cfg: &OursConfig,
-) -> (LaunchConfig, impl Fn(&mut BlockCtx<'_>) + Sync) {
-    nchw_launch_parts_fused(input, weights, output, g, cfg, ConvEpilogue::none())
+/// How a launch fills a row's column slots and walks the outputs the row
+/// feeds. [`launch_body`] picks one per launch from the geometry, so each
+/// launch runs a loop monomorphized for its rows.
+trait RowPath: Sync {
+    /// `(output row, filter row)` pairs that virtual padded row `vy` feeds
+    /// in the tile starting at output row `y0`, ascending.
+    fn feeds(&self, vy: usize, y0: usize) -> impl Iterator<Item = (usize, usize)>;
+
+    /// Fill `slots` with the columns that the warp starting at output
+    /// column `x0` reads from the input row starting at element `row_base`.
+    fn load(
+        &self,
+        w: &mut WarpCtx<'_, '_>,
+        input: BufId,
+        row_base: usize,
+        x0: usize,
+        slots: &mut [VF],
+    );
 }
 
-/// [`nchw_launch_parts`] with an epilogue folded into the store path.
-fn nchw_launch_parts_fused(
+/// Unit stride and dilation without padding: Algorithm 1 (every column
+/// loaded directly without column reuse) and Algorithm 2's row walk.
+struct UnitRows {
+    plan: Option<ColumnPlan>,
+    iw: usize,
+    fh: usize,
+    t_rows: usize,
+    oh: usize,
+}
+
+impl RowPath for UnitRows {
+    fn feeds(&self, vy: usize, y0: usize) -> impl Iterator<Item = (usize, usize)> {
+        contributions_tiled(vy, self.fh, y0, self.t_rows, self.oh)
+    }
+
+    fn load(
+        &self,
+        w: &mut WarpCtx<'_, '_>,
+        input: BufId,
+        row_base: usize,
+        x0: usize,
+        slots: &mut [VF],
+    ) {
+        let (base, cols_left) = ((row_base + x0) as u32, (self.iw - x0) as u32);
+        match &self.plan {
+            Some(plan) => load_row_columns(w, input, base, cols_left, plan, slots),
+            None => load_row_columns_direct(w, input, base, cols_left, slots),
+        }
+    }
+}
+
+/// Every other geometry: the strided plan or per-tap gathers, and the
+/// stride/dilation row walk.
+struct GeoRows {
+    plan: Option<StridedPlan>,
+    iw: usize,
+    sw: usize,
+    dw: usize,
+    pad_w: usize,
+    fh: usize,
+    sh: usize,
+    dh: usize,
+    t_rows: usize,
+    oh: usize,
+}
+
+impl RowPath for GeoRows {
+    fn feeds(&self, vy: usize, y0: usize) -> impl Iterator<Item = (usize, usize)> {
+        contributions_geo(vy, self.fh, self.sh, self.dh, y0, self.t_rows, self.oh)
+    }
+
+    fn load(
+        &self,
+        w: &mut WarpCtx<'_, '_>,
+        input: BufId,
+        row_base: usize,
+        x0: usize,
+        slots: &mut [VF],
+    ) {
+        let col0 = (x0 * self.sw) as i64 - self.pad_w as i64;
+        let plan = self.plan.as_ref();
+        load_row_columns_geo(
+            w, input, row_base, col0, self.sw, self.dw, self.iw, plan, slots,
+        );
+    }
+}
+
+/// The kernel closure: `rows` fills each row's slots, everything else is
+/// shared by every geometry. `g` must be valid; the weight bank layout is
+/// `FN × IC/groups × FH × FW`.
+fn body(
     input: BufId,
     weights: BufId,
     output: BufId,
     g: &ConvGeometry,
     cfg: &OursConfig,
     ep: ConvEpilogue,
-) -> (LaunchConfig, impl Fn(&mut BlockCtx<'_>) + Sync) {
+    rows: impl RowPath,
+) -> impl Fn(&mut BlockCtx<'_>) + Sync {
     let (ih, iw) = (g.in_h, g.in_w);
     let (fh, fw) = (g.f_h, g.f_w);
     let (oh, ow) = (g.out_h(), g.out_w());
     let (ic, fn_) = (g.in_channels, g.out_channels);
-    let cfg = cfg.clone();
-    let t_rows = cfg.rows_per_thread;
-    let cols_per_block = WARP * cfg.block_warps;
-    let gx = ow.div_ceil(cols_per_block) as u32;
-    let gy = oh.div_ceil(t_rows) as u32;
-    let gz = (g.batch * fn_) as u32;
-    let plan = ColumnPlan::new(fw);
-    let launch =
-        LaunchConfig::grid3d(gx, gy, gz, (WARP * cfg.block_warps) as u32).with_sample(cfg.sample);
-
+    let cpg = g.channels_per_group();
+    let fpg = g.filters_per_group();
+    let (sh, pad_h) = (g.stride_h, g.pad_h);
+    let (t_rows, block_warps) = (cfg.rows_per_thread, cfg.block_warps);
     let in_plane = ih * iw;
     let out_plane = oh * ow;
     let w_plane = fh * fw;
+    let reach_h = (fh - 1) * g.dil_h; // dilated vertical filter reach
 
-    let kernel = move |blk: &mut BlockCtx<'_>| {
+    move |blk: &mut BlockCtx<'_>| {
         let (bx, by, bz) = blk.block_idx;
         let n = bz as usize / fn_;
         let f = bz as usize % fn_;
+        let c0 = (f / fpg) * cpg; // first input channel of f's group
         blk.each_warp(|w| {
-            let x0 = (bx as usize * cfg.block_warps + w.warp_id) * WARP;
+            let x0 = (bx as usize * block_warps + w.warp_id) * WARP;
             if x0 >= ow {
                 return;
             }
@@ -106,24 +209,27 @@ fn nchw_launch_parts_fused(
             let mut acc = vec![VF::splat(0.0); t_rows];
             let mut fvals = vec![0.0f32; w_plane];
             let mut slots = vec![VF::splat(0.0); fw];
-            let last_in_row = (y0 + t_rows + fh - 1).min(ih);
+            // Virtual padded rows this tile touches.
+            let first_vy = y0 * sh;
+            let last_vy = ((y0 + t_rows - 1).min(oh - 1) * sh + reach_h + 1).min(ih + 2 * pad_h);
 
-            for c in 0..ic {
+            for cg in 0..cpg {
                 // This channel's filter plane, from constant memory.
-                let wbase = (f * ic + c) * w_plane;
+                let wbase = (f * cpg + cg) * w_plane;
                 w.const_load_row(weights, wbase as u32, &mut fvals);
-                let plane_base = (n * ic + c) * in_plane;
-                for iy in y0..last_in_row {
-                    let row_base = (plane_base + iy * iw + x0) as u32;
-                    let cols_left = (iw - x0) as u32;
-                    if cfg.column_reuse {
-                        load_row_columns(w, input, row_base, cols_left, &plan, &mut slots);
-                    } else {
-                        load_row_columns_direct(w, input, row_base, cols_left, &mut slots);
+                let plane_base = (n * ic + c0 + cg) * in_plane;
+                for vy in first_vy..last_vy {
+                    let mut feeds = rows.feeds(vy, y0).peekable();
+                    if feeds.peek().is_none() {
+                        continue; // row skipped entirely by the stride
                     }
-                    for (o, fr) in contributions_tiled(iy, fh, y0, t_rows, oh) {
-                        let t = o - y0;
-                        w.fma_row(&mut acc[t], &slots, &fvals[fr * fw..][..fw]);
+                    // Rows in the padding band contribute zero.
+                    let Some(iy) = vy.checked_sub(pad_h).filter(|&iy| iy < ih) else {
+                        continue;
+                    };
+                    rows.load(w, input, plane_base + iy * iw, x0, &mut slots);
+                    for (o, fr) in feeds {
+                        w.fma_row(&mut acc[o - y0], &slots, &fvals[fr * fw..][..fw]);
                     }
                 }
             }
@@ -153,27 +259,63 @@ fn nchw_launch_parts_fused(
                 w.gst(output, &idx, &a, store_mask);
             }
         });
-    };
-    (launch, kernel)
+    }
 }
 
-/// `true` when `g` is the shape the original unit-axes kernel handles:
-/// unit stride/dilation, a single group, and no implicit padding. The
-/// entry points below keep that path byte-for-byte (same loads, same
-/// transaction counters) and route everything else through the
-/// geometry-general kernel ([`crate::kernel_nchw_geo`]).
-fn unit_fast_path(g: &ConvGeometry) -> bool {
-    g.has_unit_axes() && g.pad_h == 0 && g.pad_w == 0
+/// Run the kernel for `g` through `launch` ([`GpuSim::launch`] or
+/// [`GpuSim::try_launch`]), with the rows the geometry calls for: unit
+/// stride and dilation without padding take Algorithm 1 and Algorithm 2's
+/// walk, every other geometry the strided plan (dense taps, `SW < FW`) or
+/// per-tap gathers and the stride/dilation walk. At unit axes the strided
+/// plan would read fewer sectors than Algorithm 1 with identical outputs;
+/// the rule keeps every recorded counter where it is.
+fn launch_body<T>(
+    input: BufId,
+    weights: BufId,
+    output: BufId,
+    g: &ConvGeometry,
+    cfg: &OursConfig,
+    ep: ConvEpilogue,
+    launch: impl FnOnce(&LaunchConfig, &(dyn Fn(&mut BlockCtx<'_>) + Sync)) -> T,
+) -> T {
+    let (t_rows, oh) = (cfg.rows_per_thread, g.out_h());
+    let gx = g.out_w().div_ceil(WARP * cfg.block_warps) as u32;
+    let gy = oh.div_ceil(t_rows) as u32;
+    let gz = (g.batch * g.out_channels) as u32;
+    let config =
+        LaunchConfig::grid3d(gx, gy, gz, (WARP * cfg.block_warps) as u32).with_sample(cfg.sample);
+    if g.has_unit_axes() && g.pad_h == 0 && g.pad_w == 0 {
+        let rows = UnitRows {
+            plan: cfg.column_reuse.then(|| ColumnPlan::new(g.f_w)),
+            iw: g.in_w,
+            fh: g.f_h,
+            t_rows,
+            oh,
+        };
+        launch(&config, &body(input, weights, output, g, cfg, ep, rows))
+    } else {
+        let (sw, dw) = (g.stride_w, g.dil_w);
+        let rows = GeoRows {
+            plan: (cfg.column_reuse && dw == 1 && sw < g.f_w).then(|| StridedPlan::new(g.f_w, sw)),
+            iw: g.in_w,
+            sw,
+            dw,
+            pad_w: g.pad_w,
+            fh: g.f_h,
+            sh: g.stride_h,
+            dh: g.dil_h,
+            t_rows,
+            oh,
+        };
+        launch(&config, &body(input, weights, output, g, cfg, ep, rows))
+    }
 }
 
-/// Launch the fused multi-channel kernel on uploaded NCHW buffers.
+/// Launch the kernel on uploaded NCHW buffers.
 ///
 /// * `input` — `N × IC × IH × IW`;
 /// * `weights` — `FN × IC/groups × FH × FW` (constant memory);
 /// * `output` — `N × FN × OH × OW`.
-///
-/// Non-unit stride/dilation/groups and implicit padding dispatch to the
-/// geometry-general kernel; the unit-axes path is unchanged.
 pub fn launch_conv_nchw_ours(
     sim: &mut GpuSim,
     input: BufId,
@@ -182,35 +324,7 @@ pub fn launch_conv_nchw_ours(
     g: &ConvGeometry,
     cfg: &OursConfig,
 ) -> KernelStats {
-    if unit_fast_path(g) {
-        let (launch, kernel) = nchw_launch_parts(input, weights, output, g, cfg);
-        sim.launch(&launch, kernel)
-    } else {
-        let (launch, kernel) = crate::kernel_nchw_geo::nchw_geo_launch_parts_fused(
-            input,
-            weights,
-            output,
-            g,
-            cfg,
-            ConvEpilogue::none(),
-        );
-        sim.launch(&launch, kernel)
-    }
-}
-
-/// Fallible [`launch_conv_nchw_ours`]: runs through
-/// [`GpuSim::try_launch`], so config errors, out-of-bounds accesses,
-/// watchdog timeouts, and block panics come back as typed
-/// [`LaunchError`]s instead of panics.
-pub fn try_launch_conv_nchw_ours(
-    sim: &mut GpuSim,
-    input: BufId,
-    weights: BufId,
-    output: BufId,
-    g: &ConvGeometry,
-    cfg: &OursConfig,
-) -> Result<KernelStats, LaunchError> {
-    try_launch_conv_nchw_fused(sim, input, weights, output, g, cfg, ConvEpilogue::none())
+    launch_conv_nchw_fused(sim, input, weights, output, g, cfg, ConvEpilogue::none())
 }
 
 /// [`launch_conv_nchw_ours`] with a [`ConvEpilogue`] fused into the store
@@ -224,17 +338,16 @@ pub fn launch_conv_nchw_fused(
     cfg: &OursConfig,
     ep: ConvEpilogue,
 ) -> KernelStats {
-    if unit_fast_path(g) {
-        let (launch, kernel) = nchw_launch_parts_fused(input, weights, output, g, cfg, ep);
-        sim.launch(&launch, kernel)
-    } else {
-        let (launch, kernel) =
-            crate::kernel_nchw_geo::nchw_geo_launch_parts_fused(input, weights, output, g, cfg, ep);
-        sim.launch(&launch, kernel)
-    }
+    launch_body(input, weights, output, g, cfg, ep, |config, kernel| {
+        sim.launch(config, kernel)
+    })
 }
 
-/// Fallible [`launch_conv_nchw_fused`].
+/// Fallible [`launch_conv_nchw_fused`]: an invalid geometry or a bias
+/// buffer shorter than `FN` is a [`LaunchError::InvalidConfig`], and the
+/// launch runs through [`GpuSim::try_launch`], so config errors,
+/// out-of-bounds accesses, watchdog timeouts, and block panics come back
+/// typed instead of as panics.
 pub fn try_launch_conv_nchw_fused(
     sim: &mut GpuSim,
     input: BufId,
@@ -244,6 +357,7 @@ pub fn try_launch_conv_nchw_fused(
     cfg: &OursConfig,
     ep: ConvEpilogue,
 ) -> Result<KernelStats, LaunchError> {
+    validated(g)?;
     if let Some(bias) = ep.bias {
         let have = sim.mem.len(bias);
         if have < g.out_channels {
@@ -253,18 +367,20 @@ pub fn try_launch_conv_nchw_fused(
             )));
         }
     }
-    if unit_fast_path(g) {
-        let (launch, kernel) = nchw_launch_parts_fused(input, weights, output, g, cfg, ep);
-        sim.try_launch(&launch, kernel)
-    } else {
-        crate::kernel_nchw_geo::check_geo(sim, g, &ep)?;
-        let (launch, kernel) =
-            crate::kernel_nchw_geo::nchw_geo_launch_parts_fused(input, weights, output, g, cfg, ep);
-        sim.try_launch(&launch, kernel)
-    }
+    launch_body(input, weights, output, g, cfg, ep, |config, kernel| {
+        sim.try_launch(config, kernel)
+    })
 }
 
-/// Convenience wrapper: upload, run, download.
+/// `g` if it is a valid geometry, else the typed error the fallible entry
+/// points return.
+fn validated(g: &ConvGeometry) -> Result<ConvGeometry, LaunchError> {
+    g.validate()
+        .map_err(|e| LaunchError::InvalidConfig(format!("bad geometry: {e}")))
+}
+
+/// Convenience wrapper: upload, run, download, at unit stride, dilation
+/// and groups with the geometry taken from the tensors.
 pub fn conv_nchw_ours(
     sim: &mut GpuSim,
     input: &Tensor4,
@@ -316,21 +432,77 @@ pub fn try_conv_nchw_ours(
         weights.fh(),
         weights.fw(),
     );
+    try_conv_nchw_ours_geo(sim, input, weights, &g, cfg)
+}
+
+/// Convenience wrapper for any geometry: upload, run, download. The weight
+/// bank must carry `IC/groups` channels.
+pub fn conv_nchw_ours_geo(
+    sim: &mut GpuSim,
+    input: &Tensor4,
+    weights: &FilterBank,
+    g: &ConvGeometry,
+    cfg: &OursConfig,
+) -> (Tensor4, KernelStats) {
+    try_conv_nchw_ours_geo(sim, input, weights, g, cfg).expect("geo launch")
+}
+
+/// Fallible [`conv_nchw_ours_geo`]: an invalid geometry, or tensors that
+/// do not match it, is a [`LaunchError::InvalidConfig`] before anything is
+/// uploaded.
+fn try_conv_nchw_ours_geo(
+    sim: &mut GpuSim,
+    input: &Tensor4,
+    weights: &FilterBank,
+    g: &ConvGeometry,
+    cfg: &OursConfig,
+) -> Result<(Tensor4, KernelStats), LaunchError> {
+    let g = &validated(g)?;
+    if input.dims() != (g.batch, g.in_channels, g.in_h, g.in_w) {
+        return Err(LaunchError::InvalidConfig(format!(
+            "input dims {:?} do not match geometry",
+            input.dims()
+        )));
+    }
+    if weights.num_filters() != g.out_channels
+        || weights.channels() != g.channels_per_group()
+        || weights.fh() != g.f_h
+        || weights.fw() != g.f_w
+    {
+        return Err(LaunchError::InvalidConfig(format!(
+            "weights {}x{}x{}x{} do not match geometry (want {}x{}x{}x{})",
+            weights.num_filters(),
+            weights.channels(),
+            weights.fh(),
+            weights.fw(),
+            g.out_channels,
+            g.channels_per_group(),
+            g.f_h,
+            g.f_w
+        )));
+    }
     let bi = sim.mem.upload_shared(input.shared());
     let bw = sim.mem.upload(weights.as_slice());
     let bo = sim.mem.alloc(g.out_elems());
-    let stats = try_launch_conv_nchw_ours(sim, bi, bw, bo, &g, cfg)?;
-    let out = Tensor4::from_vec(n, g.out_channels, g.out_h(), g.out_w(), sim.mem.take(bo))
-        .expect("shape by construction");
+    let stats = try_launch_conv_nchw_fused(sim, bi, bw, bo, g, cfg, ConvEpilogue::none())?;
+    let out = Tensor4::from_vec(
+        g.batch,
+        g.out_channels,
+        g.out_h(),
+        g.out_w(),
+        sim.mem.take(bo),
+    )
+    .expect("shape by construction");
     Ok((out, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memconv_gpusim::DeviceConfig;
-    use memconv_ref::conv_nchw_ref;
+    use memconv_gpusim::{DeviceConfig, LaunchMode};
+    use memconv_ref::{conv_nchw_ref, conv_nchw_ref_geo};
     use memconv_tensor::generate::TensorRng;
+    use memconv_tensor::Padding;
 
     fn check(n: usize, ic: usize, hw: usize, fn_: usize, f: usize, cfg: &OursConfig) {
         let mut rng = TensorRng::new((n * 1000 + ic * 100 + hw * 10 + fn_ + f) as u64);
@@ -471,5 +643,152 @@ mod tests {
         // Input is re-streamed per output filter: the no-channel-reuse
         // behaviour the paper concedes in §IV-B.
         assert!(four.gld_transactions >= 3 * one.gld_transactions);
+    }
+
+    /// `g` through [`conv_nchw_ours_geo`] on both launch engines must be
+    /// bit-identical to the CPU reference.
+    fn check_geo(g: ConvGeometry, cfg: &OursConfig, seed: u64) {
+        let g = g.validate().unwrap();
+        let mut rng = TensorRng::new(seed);
+        let input = rng.tensor(g.batch, g.in_channels, g.in_h, g.in_w);
+        let bank = rng.filter_bank(g.out_channels, g.channels_per_group(), g.f_h, g.f_w);
+        let want = conv_nchw_ref_geo(&input, &bank, &g);
+        for mode in [LaunchMode::Sequential, LaunchMode::Parallel] {
+            let mut sim = GpuSim::new(DeviceConfig::test_tiny()).with_launch_mode(mode);
+            let (out, _) = conv_nchw_ours_geo(&mut sim, &input, &bank, &g, cfg);
+            assert_eq!(
+                out.as_slice(),
+                want.as_slice(),
+                "{} cfg={cfg:?} mode={mode:?}",
+                g.cache_key()
+            );
+        }
+    }
+
+    #[test]
+    fn strided_bitexact() {
+        for (sh, sw) in [(2, 2), (1, 3), (4, 1), (2, 3)] {
+            check_geo(
+                ConvGeometry::nchw(2, 3, 13, 17, 2, 3, 3).with_stride(sh, sw),
+                &OursConfig::full(),
+                (sh * 10 + sw) as u64,
+            );
+        }
+        // Single-channel 2D stems, as `1×1×H×W` geometries.
+        for f in [3usize, 5, 7] {
+            for (sh, sw) in [(1, 2), (3, 1), (2, 3), (4, 4)] {
+                check_geo(
+                    ConvGeometry::single(23, 70, f).with_stride(sh, sw),
+                    &OursConfig::full(),
+                    (f * 100 + sh * 10 + sw) as u64,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dilated_bitexact() {
+        for (dh, dw) in [(2, 2), (1, 2), (3, 1)] {
+            check_geo(
+                ConvGeometry::nchw(1, 2, 14, 14, 2, 3, 3).with_dilation(dh, dw),
+                &OursConfig::full(),
+                (dh * 10 + dw) as u64,
+            );
+        }
+    }
+
+    #[test]
+    fn grouped_and_depthwise_bitexact() {
+        let padded = |g: ConvGeometry| g.with_padding(Padding::Explicit(1, 1)).unwrap();
+        for (g, seed) in [
+            (ConvGeometry::nchw(2, 4, 10, 10, 6, 3, 3).with_groups(2), 41),
+            (ConvGeometry::nchw(1, 6, 12, 12, 6, 3, 3).with_groups(6), 42),
+            (ConvGeometry::nchw(2, 4, 12, 12, 4, 3, 3).with_groups(4), 50),
+            // depthwise, strided and padded
+            (
+                padded(
+                    ConvGeometry::nchw(1, 3, 13, 13, 3, 3, 3)
+                        .with_groups(3)
+                        .with_stride(2, 2),
+                ),
+                51,
+            ),
+            // channel multiplier 2: FN = 2·IC
+            (ConvGeometry::nchw(1, 3, 10, 10, 6, 3, 3).with_groups(3), 52),
+        ] {
+            check_geo(g, &OursConfig::full(), seed);
+        }
+    }
+
+    #[test]
+    fn combined_axes_and_padding_bitexact() {
+        let g = ConvGeometry::nchw(2, 4, 11, 13, 4, 3, 3)
+            .with_groups(2)
+            .with_stride(2, 2)
+            .with_dilation(2, 1);
+        let mut g = g;
+        g.pad_h = 1;
+        g.pad_w = 2;
+        check_geo(g, &OursConfig::full(), 43);
+    }
+
+    #[test]
+    fn ablations_stay_bitexact_on_non_unit_axes() {
+        for cfg in [
+            OursConfig::column_only(),
+            OursConfig::row_only(),
+            OursConfig::direct(),
+        ] {
+            check_geo(
+                ConvGeometry::nchw(1, 2, 12, 40, 2, 5, 5).with_stride(2, 2),
+                &cfg,
+                44,
+            );
+            check_geo(ConvGeometry::single(17, 68, 5).with_stride(2, 2), &cfg, 45);
+        }
+    }
+
+    #[test]
+    fn column_reuse_still_pays_when_stride_below_filter_width() {
+        let mut rng = TensorRng::new(10);
+        let input = rng.tensor(1, 1, 32, 130);
+        let bank = rng.filter_bank(1, 1, 5, 5);
+        let g = ConvGeometry::single(32, 130, 5).with_stride(1, 2);
+        let run = |column_reuse: bool| {
+            let cfg = OursConfig {
+                column_reuse,
+                rows_per_thread: 1,
+                ..OursConfig::full()
+            };
+            let mut sim = GpuSim::new(DeviceConfig::rtx2080ti());
+            conv_nchw_ours_geo(&mut sim, &input, &bank, &g, &cfg).1
+        };
+        let (with, without) = (run(true), run(false));
+        // plan: 2 base loads + 3 tail-masked loads vs 5 full loads — the
+        // requests tie but transactions shrink; check both dimensions
+        assert!(
+            with.gld_requests <= without.gld_requests,
+            "{} vs {}",
+            with.gld_requests,
+            without.gld_requests
+        );
+        assert!(
+            with.gld_transactions < without.gld_transactions,
+            "{} vs {}",
+            with.gld_transactions,
+            without.gld_transactions
+        );
+    }
+
+    #[test]
+    fn bad_geometry_is_a_typed_error() {
+        let mut rng = TensorRng::new(5);
+        let input = rng.tensor(1, 2, 6, 6);
+        let bank = rng.filter_bank(2, 2, 3, 3);
+        let mut sim = GpuSim::new(DeviceConfig::test_tiny());
+        // weights carry 2 channels but groups=2 needs IC/groups = 1
+        let g = ConvGeometry::nchw(1, 2, 6, 6, 2, 3, 3).with_groups(2);
+        let err = try_conv_nchw_ours_geo(&mut sim, &input, &bank, &g, &OursConfig::full());
+        assert!(matches!(err, Err(LaunchError::InvalidConfig(_))));
     }
 }

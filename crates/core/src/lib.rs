@@ -12,8 +12,10 @@
 //! * **Row reuse** ([`row_reuse`], paper §II-B / Algorithm 2): each loaded
 //!   input row is applied to all dependent output rows, so rows are
 //!   streamed exactly once per output tile.
-//! * The fused single-channel kernel ([`kernel2d`], Fig. 3's "ours") and
-//!   the batched multi-channel kernel ([`kernel_nchw`], Fig. 4's "ours").
+//! * One fused kernel ([`kernel_nchw`], Fig. 3's and Fig. 4's "ours") for
+//!   every geometry: batched multi-channel, grouped/depthwise, strided,
+//!   dilated and padded, with the single-channel 2D entry points in
+//!   [`kernel2d`].
 //! * The [`api`] traits every algorithm (ours and the baselines in
 //!   `memconv-baselines`) implements, so harnesses compare them uniformly.
 //!
@@ -27,28 +29,19 @@
 pub mod api;
 pub mod column_reuse;
 pub mod kernel2d;
-pub mod kernel2d_strided;
-pub mod kernel_depthwise;
 pub mod kernel_multi_filter;
 pub mod kernel_nchw;
-pub mod kernel_nchw_geo;
 pub mod plan;
 pub mod row_reuse;
 pub mod tune;
 
-pub use api::{Conv2dAlgorithm, ConvNchwAlgorithm, DepthwiseDirect, Ours};
-pub use kernel2d::{
-    conv2d_ours, conv2d_ours_padded, launch_conv2d_ours, launch_conv2d_ours_padded, OursConfig,
-};
-pub use kernel2d_strided::{conv2d_ours_strided, StridedPlan};
-pub use kernel_depthwise::{
-    conv_depthwise, launch_conv_depthwise, try_conv_depthwise, try_launch_conv_depthwise,
-};
+pub use api::{Conv2dAlgorithm, ConvNchwAlgorithm, Ours};
+pub use kernel2d::{conv2d_ours, conv2d_ours_padded, launch_conv2d_ours, OursConfig};
 pub use kernel_multi_filter::{conv_nchw_multi_filter, OursMultiFilter};
 pub use kernel_nchw::{
-    conv_nchw_ours, launch_conv_nchw_fused, launch_conv_nchw_ours, try_conv_nchw_ours,
-    try_launch_conv_nchw_fused, try_launch_conv_nchw_ours, ConvEpilogue,
+    conv_nchw_ours, conv_nchw_ours_geo, launch_conv_nchw_fused, launch_conv_nchw_ours,
+    try_conv_nchw_ours, try_launch_conv_nchw_fused, ConvEpilogue,
 };
-pub use kernel_nchw_geo::{contributions_geo, conv_nchw_ours_geo, try_conv_nchw_ours_geo};
-pub use plan::{ColumnPlan, Exchange};
+pub use plan::{ColumnPlan, Exchange, StridedPlan};
+pub use row_reuse::contributions_geo;
 pub use tune::{autotune_2d, TuneError, TuneReport};

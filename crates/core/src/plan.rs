@@ -23,6 +23,21 @@
 //! `[0,4] ∪ [4,6] + {6}` with 3 loads (slots 0, 4, 6 — slot 4 shared as
 //! block endpoint) — which is the "better generalization ability" claimed
 //! over prior shuffle-based schemes that only handle fixed filter widths.
+//!
+//! ## Strided rows
+//!
+//! With width stride `s`, lane `t`'s base input column is `s·(X0 + t)`, so
+//! lane `t + d` already holds columns `s·t' + k'` for `k' < s` once each
+//! lane loads its `s` *base slots*. The [`StridedPlan`] fills the other
+//! slots by **uniform `shfl_down`**: slot `k` is lane `t + ⌊k/s⌋`'s base
+//! slot `k mod s`. Both the shuffle distance and the source slot are
+//! compile-time constants, so (like Algorithm 1) the buffer stays in
+//! registers, and no pack/shift selection is needed because the source
+//! slot is the same in every lane. The last `⌊k/s⌋` lanes of the warp have
+//! no shuffle source and load those slots directly. Loads per row drop
+//! from `FW` to `min(s, FW)` plus the masked tails, so the plan pays
+//! whenever `s < FW`; at `s ≥ FW` windows no longer overlap and it
+//! degenerates to direct loads.
 
 /// One shuffle exchange: fill `mid = lo + mask` from the pair
 /// `(lo, hi = lo + 2·mask)` with `shfl_xor(…, mask)`.
@@ -112,6 +127,47 @@ impl ColumnPlan {
             have[e.mid()] = true;
         }
         have.iter().all(|&h| h)
+    }
+}
+
+/// The strided exchange plan: which slots every lane loads and which
+/// arrive via `shfl_down` (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StridedPlan {
+    /// Filter width.
+    pub fw: usize,
+    /// Column stride.
+    pub stride: usize,
+    /// Slots loaded by every lane (`k < min(stride, fw)`).
+    pub base_slots: usize,
+    /// `(slot, shfl_down distance, source base slot)` for the rest.
+    pub exchanges: Vec<(usize, usize, usize)>,
+}
+
+impl StridedPlan {
+    /// Build the plan for `fw` and `stride ≥ 1`.
+    pub fn new(fw: usize, stride: usize) -> Self {
+        assert!(fw >= 1 && stride >= 1);
+        let base_slots = stride.min(fw);
+        let exchanges = (base_slots..fw)
+            .map(|k| (k, k / stride, k % stride))
+            .collect();
+        StridedPlan {
+            fw,
+            stride,
+            base_slots,
+            exchanges,
+        }
+    }
+
+    /// Full-warp loads issued per row (`min(s, FW)`).
+    pub fn num_base_loads(&self) -> usize {
+        self.base_slots
+    }
+
+    /// Shuffles per row.
+    pub fn num_shuffles(&self) -> usize {
+        self.exchanges.len()
     }
 }
 
@@ -215,6 +271,20 @@ mod tests {
                 "fw={fw}"
             );
         }
+    }
+
+    #[test]
+    fn strided_plan_structure() {
+        let p = StridedPlan::new(5, 2);
+        assert_eq!(p.base_slots, 2);
+        assert_eq!(
+            p.exchanges,
+            vec![(2, 1, 0), (3, 1, 1), (4, 2, 0)],
+            "slot k from lane t+k/2, base slot k%2"
+        );
+        let p = StridedPlan::new(3, 4);
+        assert_eq!(p.base_slots, 3, "s >= fw degenerates to direct");
+        assert!(p.exchanges.is_empty());
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! rows `[tile_start, tile_start + tile_len)`, which is how the fused
 //! kernel uses it: one thread accumulates a register tile of outputs while
 //! input rows stream past exactly once per tile.
+//!
+//! [`contributions_geo`] extends the walk to vertical stride and dilation:
+//! input row `iy` feeds tile outputs `o` with `iy = o·SH + r·DH` for some
+//! filter row `r < FH`, still in ascending output order with ascending
+//! filter rows per output, which preserves the CPU reference's
+//! accumulation order bit-for-bit.
 
 /// Output contributions of one loaded input row.
 ///
@@ -50,6 +56,34 @@ pub fn contributions_tiled(
     let end = index.min(tile_end.saturating_sub(1)) + 1;
     let end = if tile_end > 0 { end } else { lo };
     (lo..end).map(move |o| (o, index - o))
+}
+
+/// Per-output contributions of *virtual padded* input row `vy` under
+/// vertical stride `sh` and dilation `dh`: `(output row, filter row)`
+/// pairs restricted to the `[tile_start, tile_start + tile_len)` tile,
+/// ascending in output row, as an iterator (kernels walk it once per row
+/// without allocating). A pair exists iff `vy = o·sh + r·dh` with `r < fh`.
+pub fn contributions_geo(
+    vy: usize,
+    fh: usize,
+    sh: usize,
+    dh: usize,
+    tile_start: usize,
+    tile_len: usize,
+    oh: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    let outputs = if oh == 0 || tile_start >= oh {
+        0..0
+    } else {
+        let reach = (fh - 1) * dh;
+        let lo_o = vy.saturating_sub(reach).div_ceil(sh).max(tile_start);
+        let hi_o = (vy / sh).min((tile_start + tile_len).min(oh) - 1);
+        lo_o..hi_o + 1
+    };
+    outputs.filter_map(move |o| {
+        let d = vy - o * sh;
+        (d.is_multiple_of(dh) && d / dh < fh).then_some((o, d / dh))
+    })
 }
 
 /// Literal transcription of the paper's Algorithm 2 branch structure (with
@@ -188,6 +222,30 @@ mod tests {
             }
         }
         assert!(next_fr.iter().all(|&n| n == fh));
+    }
+
+    #[test]
+    fn contributions_partition_macs_across_stride_and_dilation() {
+        for (fh, sh, dh, oh) in [
+            (3usize, 1usize, 1usize, 6usize),
+            (3, 2, 1, 5),
+            (3, 1, 2, 4),
+            (5, 3, 2, 3),
+            (1, 2, 3, 4),
+        ] {
+            let ih = (oh - 1) * sh + (fh - 1) * dh + 1;
+            let mut count = vec![vec![0u32; fh]; oh];
+            for vy in 0..ih {
+                for (o, r) in contributions_geo(vy, fh, sh, dh, 0, oh, oh) {
+                    count[o][r] += 1;
+                }
+            }
+            for (o, row) in count.iter().enumerate() {
+                for (r, &c) in row.iter().enumerate() {
+                    assert_eq!(c, 1, "fh={fh} sh={sh} dh={dh} o={o} r={r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Property tests pinning the geometry-general NCHW kernels to the CPU
-//! reference on the new axes: for randomized grouped / depthwise /
-//! dilated / strided geometries, the simulated kernels must reproduce
+//! Property tests pinning the `ours` kernel to the CPU reference on the
+//! new axes: for randomized grouped / depthwise / dilated / strided /
+//! padded geometries, the simulated kernel must reproduce
 //! [`conv_nchw_ref_geo`] **bit-for-bit**, under both launch engines and
 //! at every parallel worker-thread count (1–4), with identical
 //! transaction counters between engines.
 
-use memconv_core::{ConvNchwAlgorithm, DepthwiseDirect, Ours, OursConfig};
+use memconv_core::{ConvNchwAlgorithm, Ours, OursConfig};
 use memconv_gpusim::{DeviceConfig, GpuSim, KernelStats, LaunchMode};
 use memconv_ref::conv_nchw_ref_geo;
-use memconv_tensor::{ConvGeometry, TensorRng};
+use memconv_tensor::{ConvGeometry, Padding, TensorRng};
 use proptest::prelude::*;
 
 /// A randomized non-unit geometry. Group structure is generated as
@@ -26,6 +26,8 @@ struct GeoSpec {
     extra_w: usize,
     stride: usize,
     dilation: usize,
+    pad_h: usize,
+    pad_w: usize,
 }
 
 impl GeoSpec {
@@ -43,6 +45,8 @@ impl GeoSpec {
         .with_stride(self.stride, self.stride)
         .with_dilation(self.dilation, self.dilation)
         .with_groups(self.groups)
+        .with_padding(Padding::Explicit(self.pad_h, self.pad_w))
+        .expect("explicit padding")
     }
 }
 
@@ -75,8 +79,8 @@ fn reference(g: &ConvGeometry, seed: u64) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The headline property: for any grouped/dilated/strided geometry,
-    /// the geometry-general kernel is bit-identical to the CPU reference
+    /// The headline property: for any grouped/depthwise/dilated/strided/
+    /// padded geometry, the kernel is bit-identical to the CPU reference
     /// under both engines and every worker-thread count, with
     /// engine-independent counters.
     #[test]
@@ -90,6 +94,8 @@ proptest! {
         extra_w in 0usize..7,
         stride in 1usize..4,
         dilation in 1usize..3,
+        pad_h in 0usize..3,
+        pad_w in 0usize..3,
         threads in 1usize..5,
         seed in any::<u64>(),
     ) {
@@ -103,6 +109,8 @@ proptest! {
             extra_w,
             stride,
             dilation,
+            pad_h,
+            pad_w,
         };
         let g = spec.geometry().validate().expect("spec builds valid geometries");
         let algo = Ours::with_config(OursConfig::full());
@@ -112,55 +120,6 @@ proptest! {
         prop_assert_eq!(&seq_out, &want, "sequential != reference ({})", g.cache_key());
         prop_assert_eq!(&par_out, &want, "parallel != reference ({})", g.cache_key());
         prop_assert_eq!(&seq_stats, &par_stats, "counters diverge ({})", g.cache_key());
-    }
-
-    /// The dedicated depthwise kernel agrees with the reference and the
-    /// general kernel, bit-for-bit, on both engines × 1–4 threads.
-    #[test]
-    fn depthwise_kernel_matches_reference_on_both_engines(
-        batch in 1usize..3,
-        channels in 2usize..9,
-        filter_sel in 0u8..2,
-        extra in 0usize..7,
-        stride in 1usize..4,
-        dilation in 1usize..3,
-        threads in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        let filter = if filter_sel == 0 { 3 } else { 5 };
-        let dil_f = (filter - 1) * dilation + 1;
-        let g = ConvGeometry::nchw(
-            batch,
-            channels,
-            dil_f + extra,
-            dil_f + extra,
-            channels,
-            filter,
-            filter,
-        )
-        .with_stride(stride, stride)
-        .with_dilation(dilation, dilation)
-        .with_groups(channels)
-        .validate()
-        .expect("depthwise geometry");
-        prop_assert!(g.is_depthwise());
-        let dw = DepthwiseDirect::with_config(OursConfig::full());
-        prop_assert!(dw.supports_shape(&g));
-        let want = reference(&g, seed);
-        let (seq_out, seq_stats) = run(&dw, &g, seed, LaunchMode::Sequential, 1);
-        let (par_out, par_stats) = run(&dw, &g, seed, LaunchMode::Parallel, threads);
-        prop_assert_eq!(&seq_out, &want, "sequential != reference ({})", g.cache_key());
-        prop_assert_eq!(&par_out, &want, "parallel != reference ({})", g.cache_key());
-        prop_assert_eq!(&seq_stats, &par_stats, "counters diverge ({})", g.cache_key());
-        // The general kernel handles the same geometry identically.
-        let (gen_out, _) = run(
-            &Ours::with_config(OursConfig::full()),
-            &g,
-            seed,
-            LaunchMode::Sequential,
-            1,
-        );
-        prop_assert_eq!(&gen_out, &want, "general kernel != reference ({})", g.cache_key());
     }
 
     /// Unit-axes geometries routed through `run_geo` are bit-identical to

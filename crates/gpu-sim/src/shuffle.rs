@@ -41,31 +41,56 @@ pub fn shfl_xor<T: Copy>(v: &LaneVec<T>, mask: usize, width: usize) -> LaneVec<T
 /// otherwise, so lane `t` receives `hi[t ^ mask]` or `lo[t ^ mask]`. One
 /// pass over the lanes, without forming the sent register.
 ///
-/// The pass is instantiated at each power-of-two mask, where the lane
-/// permutation is a compile-time constant and compiles to a few vector
-/// shuffles: about 3× faster than the same pass at a run-time mask.
+/// At a power-of-two mask `M` the result is two block copies per `2M`
+/// lanes: the block's low half takes `lo` of its high half, and its high
+/// half `hi` of its low half. Each `M` is its own instantiation, so the
+/// copies have constant bounds whether or not the compiler inlines them.
+/// At `M = 2` each 4-lane quad is built whole instead: its two 2-lane
+/// copies would be written as 8-byte halves, which stall the 16-byte reads
+/// of the result that follow.
 #[inline]
 pub fn shfl_xor_select<T: Copy>(lo: &LaneVec<T>, hi: &LaneVec<T>, mask: usize) -> LaneVec<T> {
     #[inline(always)]
-    fn pass<T: Copy>(lo: &LaneVec<T>, hi: &LaneVec<T>, mask: usize) -> LaneVec<T> {
-        LaneVec::from_fn(|t| {
-            let s = t ^ mask;
-            if s & mask == 0 {
-                hi.lane(s)
-            } else {
-                lo.lane(s)
+    fn pass<T: Copy, const M: usize>(lo: &LaneVec<T>, hi: &LaneVec<T>) -> LaneVec<T> {
+        let mut out = *lo;
+        if M == 2 {
+            let quads = out.0.chunks_exact_mut(4).zip(lo.0.chunks_exact(4));
+            for ((o, l), h) in quads.zip(hi.0.chunks_exact(4)) {
+                o.copy_from_slice(&[l[2], l[3], h[0], h[1]]);
             }
-        })
+        } else {
+            for b in (0..WARP).step_by(2 * M) {
+                out.0[b..b + M].copy_from_slice(&lo.0[b + M..b + 2 * M]);
+                out.0[b + M..b + 2 * M].copy_from_slice(&hi.0[b..b + M]);
+            }
+        }
+        out
     }
     assert!(mask < WARP, "xor mask must be < 32");
     match mask {
-        1 => pass(lo, hi, 1),
-        2 => pass(lo, hi, 2),
-        4 => pass(lo, hi, 4),
-        8 => pass(lo, hi, 8),
-        16 => pass(lo, hi, 16),
-        _ => pass(lo, hi, mask),
+        1 => pass::<T, 1>(lo, hi),
+        2 => pass::<T, 2>(lo, hi),
+        4 => pass::<T, 4>(lo, hi),
+        8 => pass::<T, 8>(lo, hi),
+        16 => pass::<T, 16>(lo, hi),
+        _ => any_mask(lo, hi, mask),
     }
+}
+
+/// [`shfl_xor_select`] at a mask that is not a power of two, which
+/// Algorithm 1 never issues: kept out of line, so the per-mask passes stay
+/// a compact dispatch in their caller.
+#[cold]
+#[inline(never)]
+fn any_mask<T: Copy>(lo: &LaneVec<T>, hi: &LaneVec<T>, mask: usize) -> LaneVec<T> {
+    LaneVec::from_fn(|t| {
+        let s = t ^ mask;
+        if s & mask == 0 {
+            hi.lane(s)
+        } else {
+            lo.lane(s)
+        }
+    })
 }
 
 /// `__shfl_up_sync`: lane `i` receives the value of lane `i - delta`; lanes

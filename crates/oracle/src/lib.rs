@@ -289,7 +289,7 @@ mod tests {
     use super::*;
     use memconv_baselines::{DirectConv, Im2colGemm, ShuffleDynamic, TiledConv};
     use memconv_core::Ours;
-    use memconv_tensor::TensorRng;
+    use memconv_tensor::{Padding, TensorRng};
 
     fn tiny() -> DeviceConfig {
         DeviceConfig::test_tiny()
@@ -360,14 +360,17 @@ mod tests {
     #[test]
     fn oracle_stays_exact_on_new_geometry_axes() {
         // The 9-counter contract extends to strided/dilated/grouped/
-        // depthwise geometries: phantom counters must equal a real run's,
-        // bit-for-bit, on both launch engines.
-        use memconv_core::DepthwiseDirect;
+        // depthwise/padded geometries: phantom counters must equal a real
+        // run's, bit-for-bit, on both launch engines.
+        let padded = |g: ConvGeometry| g.with_padding(Padding::Same).unwrap();
         let geos = [
             ConvGeometry::nchw(2, 3, 13, 13, 4, 3, 3).with_stride(2, 2),
             ConvGeometry::nchw(1, 2, 14, 14, 2, 3, 3).with_dilation(2, 2),
             ConvGeometry::nchw(1, 4, 10, 10, 6, 3, 3).with_groups(2),
             ConvGeometry::nchw(1, 5, 12, 12, 5, 3, 3).with_groups(5),
+            padded(ConvGeometry::nchw(1, 2, 12, 12, 3, 3, 3)),
+            // depthwise with channel multiplier 2
+            ConvGeometry::nchw(1, 3, 12, 12, 6, 3, 3).with_groups(3),
         ];
         for g in geos {
             let g = g.validate().unwrap();
@@ -384,32 +387,13 @@ mod tests {
                 assert!(p.consistent, "ours {}", g.cache_key());
             }
         }
-        // The dedicated depthwise kernel on its native shape.
-        let g = ConvGeometry::nchw(1, 5, 12, 12, 5, 3, 3)
-            .with_groups(5)
-            .validate()
-            .unwrap();
-        let algo = DepthwiseDirect::new();
-        let p = predict_nchw(&algo, &tiny(), &g, LaunchMode::Sequential).unwrap();
-        let real = measure_nchw(&algo, &tiny(), &g, LaunchMode::Sequential);
-        assert_eq!(
-            transaction_signature(&p.stats()),
-            transaction_signature(&real),
-            "depthwise-direct"
-        );
     }
 
     #[test]
-    fn depthwise_kernel_rejects_dense_shapes_in_oracle() {
-        use memconv_core::DepthwiseDirect;
-        let dense = ConvGeometry::nchw(1, 4, 10, 10, 4, 3, 3);
+    fn unsupported_shapes_are_rejected_in_oracle() {
+        let strided = ConvGeometry::nchw(1, 4, 10, 10, 4, 3, 3).with_stride(2, 2);
         assert!(matches!(
-            predict_nchw(
-                &DepthwiseDirect::new(),
-                &tiny(),
-                &dense,
-                LaunchMode::Sequential
-            ),
+            predict_nchw(&TiledConv::new(), &tiny(), &strided, LaunchMode::Sequential),
             Err(PredictError::Unsupported { .. })
         ));
     }

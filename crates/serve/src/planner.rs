@@ -29,7 +29,7 @@
 
 use memconv::baselines::{As2d, DirectConv, Im2colGemm, TiledConv};
 use memconv::core::tune::{ROWS_CANDIDATES, WARP_CANDIDATES};
-use memconv::core::{Conv2dAlgorithm, ConvNchwAlgorithm, DepthwiseDirect, Ours, OursConfig};
+use memconv::core::{Conv2dAlgorithm, ConvNchwAlgorithm, Ours, OursConfig};
 use memconv::gpusim::{DeviceConfig, GpuSim, LaunchMode, SampleMode};
 use memconv::oracle::{score_nchw, PredictError};
 use memconv::tensor::generate::TensorRng;
@@ -206,21 +206,6 @@ fn nchw_candidates(sample: SampleMode) -> Vec<(Plan, Box<dyn ConvNchwAlgorithm>)
             algo,
         ));
     }
-    // The dedicated depthwise kernel: only offered where `supports_shape`
-    // accepts (groups == IC), so dense geometries never see it. Kept out
-    // of `baseline_nchw` because the 2D planner lifts that list.
-    cands.push((
-        Plan {
-            algo: "depthwise-direct".into(),
-            config: PlanConfig::Baseline,
-            modeled_seconds: 0.0,
-            provenance: Provenance::Trialed,
-        },
-        Box::new(DepthwiseDirect::with_config(OursConfig {
-            sample,
-            ..OursConfig::full()
-        })),
-    ));
     cands
 }
 
@@ -469,12 +454,6 @@ pub fn instantiate_nchw(
         ("gemm-im2col", PlanConfig::Baseline) => {
             Ok(Box::new(Im2colGemm::caffe().with_sample(sample)))
         }
-        ("depthwise-direct", PlanConfig::Baseline) => {
-            Ok(Box::new(DepthwiseDirect::with_config(OursConfig {
-                sample,
-                ..OursConfig::full()
-            })))
-        }
         _ => Err(PlanError::UnknownAlgorithm(plan.algo.clone())),
     }
 }
@@ -560,22 +539,22 @@ mod tests {
     }
 
     #[test]
-    fn depthwise_geometry_adds_the_dedicated_kernel_to_both_sweeps() {
+    fn depthwise_geometry_sweeps_the_ours_grid_and_gemm() {
         let g = ConvGeometry::nchw(1, 6, 14, 14, 6, 3, 3).with_groups(6);
         for out in [
             plan_nchw(&tiny(), &g, SampleMode::Auto(64)).unwrap(),
             plan_nchw_heuristic(&tiny(), &g, SampleMode::Auto(64)).unwrap(),
         ] {
-            // full ours grid + gemm-im2col + depthwise-direct (tiled and
-            // direct are unit-axes-only and drop out)
+            // full ours grid + gemm-im2col (tiled and direct are
+            // unit-axes-only and drop out)
             assert_eq!(
                 out.trials.len(),
-                ROWS_CANDIDATES.len() * WARP_CANDIDATES.len() + 2,
+                ROWS_CANDIDATES.len() * WARP_CANDIDATES.len() + 1,
                 "{:?}",
                 out.trials
             );
             assert!(
-                out.trials.iter().any(|(n, _)| n == "depthwise-direct"),
+                out.trials.iter().any(|(n, _)| n == "gemm-im2col"),
                 "{:?}",
                 out.trials
             );
@@ -587,7 +566,7 @@ mod tests {
     fn strided_geometry_drops_unit_axes_baselines() {
         let g = ConvGeometry::nchw(1, 2, 17, 17, 3, 3, 3).with_stride(2, 2);
         let out = plan_nchw(&tiny(), &g, SampleMode::Auto(64)).unwrap();
-        // ours grid + gemm-im2col; tiled/direct/depthwise-direct excluded
+        // ours grid + gemm-im2col; the unit-axes-only tiled/direct drop out
         assert_eq!(
             out.trials.len(),
             ROWS_CANDIDATES.len() * WARP_CANDIDATES.len() + 1

@@ -986,14 +986,15 @@ mod tests {
         }
         // Coalescing still batched same-endpoint requests together.
         assert!(rep.requests_per_launch() > 1.0);
-        // The depthwise endpoint's plan can use the dedicated kernel; at
-        // minimum it must not have planned a unit-axes-only baseline.
+        // Every endpoint's plan names an algorithm that runs its geometry
+        // natively, not a unit-axes-only baseline.
         for ep in &eps {
             let key = cache_key(&sv.device, &ep.geometry);
             let plan = sv.cache.get(&key).expect("planned during trace");
+            let algo = instantiate_nchw(&plan, SampleMode::Full).expect("registered algorithm");
             assert!(
-                plan.algo != "tiled-nchw" && plan.algo != "direct-nchw",
-                "{}: picked unit-axes-only algo {}",
+                algo.supports_shape(&ep.geometry),
+                "{}: picked {}, which does not support its geometry",
                 ep.name,
                 plan.algo
             );

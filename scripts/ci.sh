@@ -59,9 +59,9 @@ gate -p memconv-bench --bin graph -- --smoke --gate
 
 echo "==> geometry-axes gate (geom --smoke --gate)"
 # New-axes transaction study: zero divergences against the CPU reference
-# over the extended zoo (grouped/depthwise/dilated/strided), and the
-# dedicated depthwise kernel's transactions strictly below the
-# dense-equivalent block's.
+# over the extended zoo (grouped/depthwise/dilated/strided), and ours on
+# the depthwise block strictly below the dense-equivalent block's
+# transactions.
 gate -p memconv-bench --bin geom -- --smoke --gate
 
 # Oracle exactness gate: predicted transaction signatures bit-equal to
