@@ -674,9 +674,13 @@ mod tests {
                 (sh * 10 + sw) as u64,
             );
         }
-        // Single-channel 2D stems, as `1×1×H×W` geometries.
+    }
+
+    /// Single-channel 2D stems, as `1×1×H×W` geometries.
+    #[test]
+    fn strided_2d_bitexact_across_strides_and_filters() {
         for f in [3usize, 5, 7] {
-            for (sh, sw) in [(1, 2), (3, 1), (2, 3), (4, 4)] {
+            for (sh, sw) in [(1, 1), (2, 2), (1, 2), (3, 1), (2, 3), (4, 4)] {
                 check_geo(
                     ConvGeometry::single(23, 70, f).with_stride(sh, sw),
                     &OursConfig::full(),
@@ -699,25 +703,45 @@ mod tests {
 
     #[test]
     fn grouped_and_depthwise_bitexact() {
-        let padded = |g: ConvGeometry| g.with_padding(Padding::Explicit(1, 1)).unwrap();
-        for (g, seed) in [
-            (ConvGeometry::nchw(2, 4, 10, 10, 6, 3, 3).with_groups(2), 41),
-            (ConvGeometry::nchw(1, 6, 12, 12, 6, 3, 3).with_groups(6), 42),
-            (ConvGeometry::nchw(2, 4, 12, 12, 4, 3, 3).with_groups(4), 50),
-            // depthwise, strided and padded
-            (
-                padded(
-                    ConvGeometry::nchw(1, 3, 13, 13, 3, 3, 3)
-                        .with_groups(3)
-                        .with_stride(2, 2),
-                ),
-                51,
-            ),
-            // channel multiplier 2: FN = 2·IC
-            (ConvGeometry::nchw(1, 3, 10, 10, 6, 3, 3).with_groups(3), 52),
-        ] {
-            check_geo(g, &OursConfig::full(), seed);
-        }
+        check_geo(
+            ConvGeometry::nchw(2, 4, 10, 10, 6, 3, 3).with_groups(2),
+            &OursConfig::full(),
+            41,
+        );
+        check_geo(
+            ConvGeometry::nchw(1, 6, 12, 12, 6, 3, 3).with_groups(6),
+            &OursConfig::full(),
+            42,
+        );
+    }
+
+    #[test]
+    fn depthwise_bitexact() {
+        check_geo(
+            ConvGeometry::nchw(2, 4, 12, 12, 4, 3, 3).with_groups(4),
+            &OursConfig::full(),
+            50,
+        );
+    }
+
+    #[test]
+    fn depthwise_strided_padded_bitexact() {
+        let g = ConvGeometry::nchw(1, 3, 13, 13, 3, 3, 3)
+            .with_groups(3)
+            .with_stride(2, 2)
+            .with_padding(Padding::Explicit(1, 1))
+            .unwrap();
+        check_geo(g, &OursConfig::full(), 51);
+    }
+
+    #[test]
+    fn channel_multiplier_bitexact() {
+        // 2 filters per input channel: FN = 2 * IC
+        check_geo(
+            ConvGeometry::nchw(1, 3, 10, 10, 6, 3, 3).with_groups(3),
+            &OursConfig::full(),
+            52,
+        );
     }
 
     #[test]
@@ -744,6 +768,16 @@ mod tests {
                 &cfg,
                 44,
             );
+        }
+    }
+
+    #[test]
+    fn strided_2d_bitexact_with_ablations() {
+        for cfg in [
+            OursConfig::column_only(),
+            OursConfig::row_only(),
+            OursConfig::direct(),
+        ] {
             check_geo(ConvGeometry::single(17, 68, 5).with_stride(2, 2), &cfg, 45);
         }
     }
